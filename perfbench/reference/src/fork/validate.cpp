@@ -1,0 +1,54 @@
+#include "fork/validate.hpp"
+
+#include <algorithm>
+
+namespace mh {
+
+namespace {
+
+ValidationResult fail(std::string msg) { return ValidationResult{false, std::move(msg)}; }
+
+}  // namespace
+
+ValidationResult validate_fork(const Fork& fork, const CharString& w, std::size_t delta) {
+  const std::size_t n = w.size();
+
+  // (F1) The root carries label 0; the Fork constructor enforces this, but a
+  // defensive check keeps the validator self-contained.
+  if (fork.label(kRoot) != 0) return fail("(F1) root must be labeled 0");
+
+  // (F2) Strictly increasing labels along paths, and labels within [0, n].
+  for (VertexId v : fork.all_vertices()) {
+    if (fork.label(v) > n) return fail("(F2) label exceeds string length");
+    if (v != kRoot && fork.label(v) <= fork.label(fork.parent(v)))
+      return fail("(F2) labels must strictly increase along tines");
+  }
+
+  // (F3) Uniquely honest slots label exactly one vertex; multiply honest slots
+  // label at least one. Adversarial slots are unconstrained.
+  for (std::size_t i = 1; i <= n; ++i) {
+    const std::size_t count = fork.vertices_with_label(static_cast<std::uint32_t>(i)).size();
+    if (w.at(i) == Symbol::h && count != 1)
+      return fail("(F3) uniquely honest slot must label exactly one vertex");
+    if (w.at(i) == Symbol::H && count == 0)
+      return fail("(F3) multiply honest slot must label at least one vertex");
+  }
+
+  // (F4) / (F4_Delta): honest labels i (+ delta) < j imply depth(u) < depth(v)
+  // for every vertex u labeled i and v labeled j.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> honest;  // (label, depth)
+  for (VertexId v : fork.all_vertices()) {
+    const std::uint32_t l = fork.label(v);
+    if (l >= 1 && w.honest(l)) honest.emplace_back(l, fork.depth(v));
+  }
+  std::sort(honest.begin(), honest.end());
+  for (std::size_t a = 0; a < honest.size(); ++a)
+    for (std::size_t b = a + 1; b < honest.size(); ++b) {
+      if (honest[a].first + delta < honest[b].first && honest[a].second >= honest[b].second)
+        return fail("(F4) honest depths must strictly increase with slot labels");
+    }
+
+  return ValidationResult{};
+}
+
+}  // namespace mh

@@ -1,0 +1,331 @@
+#include "protocol/blocktree.hpp"
+
+#include <algorithm>
+#include <bit>
+#include <utility>
+
+#include "obs/obs.hpp"
+#include "support/check.hpp"
+
+namespace mh {
+
+namespace {
+
+/// Fresh index tables start tiny: a 10^6-party run holds one tree per node,
+/// so the per-tree floor must stay in the hundreds of bytes; tables grow
+/// geometrically and the grown capacity is what the arena recycles.
+constexpr std::size_t kIndexInitialCap = 16;
+
+/// Block hashes are already FNV digests; one multiplicative round decorrelates
+/// the low bits used by the power-of-two mask.
+constexpr std::uint64_t index_mix(BlockHash key) noexcept {
+  key *= 0x9e3779b97f4a7c15ULL;
+  return key ^ (key >> 32);
+}
+
+/// Per-thread free list of tree storages. A destroyed tree donates its
+/// buffers here; the next tree built on the same thread reuses them, so
+/// back-to-back runs in a sweep cell allocate nothing per block once the
+/// first run set the high-water capacity.
+struct StorageArena {
+  std::vector<BlockTree::Storage> free_list;
+  BlockTree::ArenaStats stats;
+};
+
+StorageArena& arena() noexcept {
+  thread_local StorageArena instance;
+  return instance;
+}
+
+/// Make a (possibly recycled) storage empty-but-capacitated: every column
+/// cleared, the index table wiped to the empty sentinel at its current size.
+void reset_storage(BlockTree::Storage& s) {
+  s.blocks.clear();
+  s.lengths.clear();
+  s.slots.clear();
+  s.parents.clear();
+  s.arrival.clear();
+  s.lift_off.clear();
+  s.lift.clear();
+  s.lift_built = 0;
+  s.head_idx.clear();
+  if (s.index_vals.empty()) {
+    s.index_keys.assign(kIndexInitialCap, 0);
+    s.index_vals.assign(kIndexInitialCap, 0xffffffffu);
+  } else {
+    std::fill(s.index_vals.begin(), s.index_vals.end(), 0xffffffffu);
+  }
+  s.index_size = 0;
+}
+
+}  // namespace
+
+BlockTree::BlockTree() : BlockTree(kMaxBlocks) {}
+
+BlockTree::BlockTree(std::size_t max_blocks)
+    : max_blocks_(std::min(max_blocks, kMaxBlocks)) {
+  MH_REQUIRE_MSG(max_blocks_ >= 1, "block tree must have room for genesis");
+  StorageArena& a = arena();
+  ++a.stats.acquired;
+  if (!a.free_list.empty()) {
+    s_ = std::move(a.free_list.back());
+    a.free_list.pop_back();
+    ++a.stats.recycled;
+  }
+  reset_storage(s_);
+  seed_genesis();
+}
+
+BlockTree::~BlockTree() {
+  // A moved-from tree has surrendered its vectors; only a live storage (its
+  // index table is never empty) goes back to the arena.
+  if (s_.index_vals.empty()) return;
+  StorageArena& a = arena();
+  ++a.stats.released;
+  a.free_list.push_back(std::move(s_));
+}
+
+BlockTree::ArenaStats BlockTree::arena_stats() noexcept { return arena().stats; }
+
+void BlockTree::arena_trim() noexcept {
+  arena().free_list.clear();
+  arena().free_list.shrink_to_fit();
+}
+
+void BlockTree::seed_genesis() {
+  const Block& genesis = genesis_block();
+  s_.blocks.push_back(genesis);
+  s_.lengths.push_back(0);
+  s_.slots.push_back(genesis.slot);
+  s_.parents.push_back(0);  // genesis is its own parent slot (never walked)
+  s_.arrival.push_back(genesis.hash);
+  index_insert(genesis.hash, 0);
+  s_.head_idx.push_back(0);
+  best_length_ = 0;
+  min_hash_head_ = genesis.hash;
+}
+
+std::uint32_t BlockTree::find(BlockHash hash) const noexcept {
+  const std::size_t mask = s_.index_vals.size() - 1;
+  for (std::size_t probe = index_mix(hash) & mask;; probe = (probe + 1) & mask) {
+    const std::uint32_t val = s_.index_vals[probe];
+    if (val == kEmptySlot || s_.index_keys[probe] == hash) return val;
+  }
+}
+
+std::uint32_t BlockTree::index_of(BlockHash hash) const {
+  const std::uint32_t idx = find(hash);
+  MH_REQUIRE_MSG(idx != kEmptySlot, "unknown block");
+  return idx;
+}
+
+void BlockTree::index_insert(BlockHash hash, std::uint32_t idx) {
+  if ((s_.index_size + 1) * 8 >= s_.index_vals.size() * 7) index_grow();
+  const std::size_t mask = s_.index_vals.size() - 1;
+  std::size_t probe = index_mix(hash) & mask;
+  while (s_.index_vals[probe] != kEmptySlot) probe = (probe + 1) & mask;
+  s_.index_keys[probe] = hash;
+  s_.index_vals[probe] = idx;
+  ++s_.index_size;
+}
+
+void BlockTree::index_grow() {
+  const std::size_t cap = s_.index_vals.size() * 2;
+  std::vector<BlockHash> keys(cap, 0);
+  std::vector<std::uint32_t> vals(cap, kEmptySlot);
+  const std::size_t mask = cap - 1;
+  for (std::size_t i = 0; i < s_.index_vals.size(); ++i) {
+    const std::uint32_t val = s_.index_vals[i];
+    if (val == kEmptySlot) continue;
+    const BlockHash key = s_.index_keys[i];
+    std::size_t probe = index_mix(key) & mask;
+    while (vals[probe] != kEmptySlot) probe = (probe + 1) & mask;
+    keys[probe] = key;
+    vals[probe] = val;
+  }
+  s_.index_keys = std::move(keys);
+  s_.index_vals = std::move(vals);
+}
+
+std::uint32_t BlockTree::levels(std::uint32_t idx) const noexcept {
+  return static_cast<std::uint32_t>(std::bit_width(s_.lengths[idx]));
+}
+
+BlockTree::AddResult BlockTree::try_add(const Block& block) {
+  if (find(block.hash) != kEmptySlot) return AddResult::Duplicate;
+  if (!verify_block_integrity(block)) return AddResult::Invalid;
+  const std::uint32_t parent_idx = find(block.parent);
+  if (parent_idx == kEmptySlot) return AddResult::Orphan;
+  if (block.slot <= s_.slots[parent_idx]) return AddResult::Invalid;
+
+  // Index and length both live in 32 bits (kEmptySlot is the index
+  // sentinel); the 10^6-party / 10^7-slot tiers make these limits
+  // reachable, so overflow must throw, never truncate.
+  MH_REQUIRE_MSG(s_.blocks.size() < max_blocks_, "block tree capacity exhausted");
+  const auto idx = static_cast<std::uint32_t>(s_.blocks.size());
+  MH_REQUIRE_MSG(s_.lengths[parent_idx] < 0xffffffffu, "chain length overflows 32 bits");
+  const std::uint32_t length = s_.lengths[parent_idx] + 1;
+
+  // Incremental head-set maintenance: a strictly longer chain resets the tie
+  // set; an equal-length one joins it (arrival order is insertion order).
+  if (length > best_length_) {
+    best_length_ = length;
+    s_.head_idx.clear();
+    s_.head_idx.push_back(idx);
+    min_hash_head_ = block.hash;
+  } else if (length == best_length_) {
+    s_.head_idx.push_back(idx);
+    min_hash_head_ = std::min(min_hash_head_, block.hash);
+  }
+
+  s_.blocks.push_back(block);
+  s_.lengths.push_back(length);
+  s_.slots.push_back(block.slot);
+  s_.parents.push_back(parent_idx);
+  s_.arrival.push_back(block.hash);
+  index_insert(block.hash, idx);
+  return AddResult::Added;
+}
+
+void BlockTree::ensure_lift() const {
+  const auto size = static_cast<std::uint32_t>(s_.blocks.size());
+  if (s_.lift_built == size) return;
+  // Binary lifting into the flat CSR pool: entry i's table occupies
+  // lift[off + j] for 2^j <= length, each level built from the parent's
+  // pointers (the 2^(j-1)-th ancestor's 2^(j-1)-th ancestor, already
+  // materialized: ancestors always precede descendants in the pool).
+  for (std::uint32_t i = s_.lift_built; i < size; ++i) {
+    const std::size_t off = s_.lift.size();
+    const std::uint32_t length = s_.lengths[i];
+    MH_REQUIRE_MSG(off + std::bit_width(length) <= 0xffffffffu,
+                   "lift pool offset overflows 32 bits");
+    s_.lift_off.push_back(static_cast<std::uint32_t>(off));
+    if (length == 0) continue;  // genesis owns zero levels
+    s_.lift.push_back(s_.parents[i]);
+    for (std::size_t j = 1; (1u << j) <= length; ++j) {
+      const std::uint32_t half = s_.lift[off + j - 1];
+      const std::uint32_t up = s_.lift[s_.lift_off[half] + j - 1];
+      s_.lift.push_back(up);
+    }
+  }
+  s_.lift_built = size;
+}
+
+bool BlockTree::contains(BlockHash hash) const { return find(hash) != kEmptySlot; }
+
+const Block& BlockTree::block(BlockHash hash) const { return s_.blocks[index_of(hash)]; }
+
+std::size_t BlockTree::length(BlockHash hash) const { return s_.lengths[index_of(hash)]; }
+
+std::uint32_t BlockTree::lift(std::uint32_t idx, std::size_t steps) const {
+  MH_OBS_HIST("protocol.tree.lift_steps", steps);
+  ensure_lift();
+  for (std::size_t j = 0; steps != 0; ++j, steps >>= 1)
+    if (steps & 1u) idx = s_.lift[s_.lift_off[idx] + j];
+  return idx;
+}
+
+BlockHash BlockTree::best_head(TieBreak rule) const {
+  // AdversarialOrder intentionally means FIRST arrival among the tied
+  // maximum-length heads: the adversary, ordering deliveries per recipient,
+  // decides which tied head arrives first.
+  return rule == TieBreak::AdversarialOrder ? s_.arrival[s_.head_idx.front()] : min_hash_head_;
+}
+
+std::vector<BlockHash> BlockTree::max_length_heads() const {
+  std::vector<BlockHash> out;
+  out.reserve(s_.head_idx.size());
+  for (const std::uint32_t idx : s_.head_idx) out.push_back(s_.arrival[idx]);
+  return out;
+}
+
+std::vector<BlockHash> BlockTree::chain(BlockHash head) const {
+  std::uint32_t idx = index_of(head);
+  std::vector<BlockHash> out(static_cast<std::size_t>(s_.lengths[idx]) + 1);
+  for (std::size_t pos = out.size(); pos-- > 0;) {
+    out[pos] = s_.arrival[idx];
+    if (pos != 0) idx = s_.parents[idx];
+  }
+  return out;
+}
+
+BlockHash BlockTree::common_ancestor(BlockHash a, BlockHash b) const {
+  MH_OBS_COUNT("protocol.tree.ancestor_queries", 1);
+  ensure_lift();
+  std::uint32_t ia = index_of(a);
+  std::uint32_t ib = index_of(b);
+  if (s_.lengths[ia] > s_.lengths[ib]) std::swap(ia, ib);
+  ib = lift(ib, s_.lengths[ib] - s_.lengths[ia]);
+  if (ia == ib) return s_.arrival[ia];
+  for (std::size_t j = levels(ia); j-- > 0;) {
+    if (j >= levels(ia)) continue;  // shrunk below a prior jump level
+    const std::uint32_t up_a = s_.lift[s_.lift_off[ia] + j];
+    const std::uint32_t up_b = s_.lift[s_.lift_off[ib] + j];
+    if (up_a != up_b) {
+      ia = up_a;
+      ib = up_b;
+    }
+  }
+  return s_.arrival[s_.parents[ia]];
+}
+
+std::optional<BlockHash> BlockTree::block_at_slot(BlockHash head, std::uint64_t slot) const {
+  MH_OBS_COUNT("protocol.tree.ancestor_queries", 1);
+  ensure_lift();
+  std::uint32_t idx = index_of(head);
+  if (idx == 0) return std::nullopt;
+  if (s_.slots[idx] <= slot) return s_.arrival[idx];
+  // Slots are strictly increasing along a chain: lift to the lowest ancestor
+  // still labelled past `slot`; its parent is the deepest block at <= slot.
+  for (std::size_t j = levels(idx); j-- > 0;) {
+    if (j >= levels(idx)) continue;
+    const std::uint32_t anc = s_.lift[s_.lift_off[idx] + j];
+    if (s_.slots[anc] > slot) idx = anc;
+  }
+  const std::uint32_t deepest = s_.parents[idx];
+  if (deepest == 0) return std::nullopt;
+  return s_.arrival[deepest];
+}
+
+BlockHash BlockTree::ancestor_at_length(BlockHash head, std::size_t len) const {
+  MH_OBS_COUNT("protocol.tree.ancestor_queries", 1);
+  const std::uint32_t idx = index_of(head);
+  MH_REQUIRE_MSG(len <= s_.lengths[idx], "ancestor below genesis");
+  return s_.arrival[lift(idx, s_.lengths[idx] - len)];
+}
+
+void OrphanBuffer::buffer(const Block& block) {
+  if (hashes_.insert(block.hash).second) orphans_.push_back(block);
+}
+
+void OrphanBuffer::flush(BlockTree& tree, std::vector<Block>* accepted) {
+  bool progress = true;
+  while (progress && !orphans_.empty()) {
+    progress = false;
+    std::vector<Block> still;
+    still.reserve(orphans_.size());
+    for (const Block& b : orphans_) {
+      switch (tree.try_add(b)) {
+        case BlockTree::AddResult::Added:
+          if (accepted) accepted->push_back(b);
+          hashes_.erase(b.hash);
+          progress = true;
+          MH_OBS_COUNT("protocol.node.orphans_flushed", 1);
+          break;
+        case BlockTree::AddResult::Orphan:
+          still.push_back(b);
+          break;
+        case BlockTree::AddResult::Duplicate:
+        case BlockTree::AddResult::Invalid:
+          // A buffered block whose parent arrived but whose labels are bad is
+          // permanently invalid — drop it instead of retrying forever.
+          hashes_.erase(b.hash);
+          MH_OBS_COUNT("protocol.node.orphans_dropped", 1);
+          break;
+      }
+    }
+    orphans_.swap(still);
+  }
+}
+
+}  // namespace mh

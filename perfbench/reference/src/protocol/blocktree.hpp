@@ -1,0 +1,210 @@
+// A party's local view of the block DAG (a tree, by the parent-hash links),
+// with longest-chain selection under the two tie-breaking regimes:
+//
+//   * AdversarialOrder (axiom A0): ties between maximum-length chains resolve
+//     by FIRST arrival, which the rushing adversary controls per recipient
+//     (it orders each slot's deliveries, so "first" is its choice);
+//   * ConsistentHash (axiom A0'): every honest party breaks ties by the
+//     minimal head hash, so identical views yield identical selections.
+//
+// The tree is built for long executions AND wide sweeps. Storage is
+// structure-of-arrays: per-entry columns (block, length, slot, parent,
+// arrival hash) are parallel contiguous arrays, the binary-lifting ancestor
+// tables live in ONE flat CSR pool indexed by (entry, level) — up(i, j) =
+// the 2^j-th ancestor of entry i, up(i, 0) the parent — and the
+// hash -> index map is a flat open-addressing table (keys are already FNV
+// digests). Consequently best_head / max_length_heads are O(1)+copy, the
+// ancestry queries (common_ancestor, block_at_slot, ancestor_at_length) are
+// O(log chain), and an insertion is a handful of sequential array appends:
+// no per-block heap node, no per-entry lift vector, no random reads.
+//
+// The lift pool is materialized LAZILY: an insertion appends only the
+// fixed-stride columns; the first lifted query after a batch of insertions
+// extends the pool for the new entries in one contiguous pass (each entry is
+// built exactly once — ancestors always precede descendants in the pool).
+// In a protocol sweep only the global/public observer trees are ever
+// queried, so the per-node trees — which absorb the broadcast volume —
+// never pay for lift tables at all; trees that are queried pay the same
+// total build cost as an eager scheme, batched while the pool is cache-hot.
+// Lazy materialization is why the query methods are const but not
+// internally synchronized: a tree must not be queried from two threads
+// concurrently (no simulation shares one).
+//
+// The whole Storage block is recycled through a thread-local arena: a
+// destroyed tree donates its buffers, the next tree constructed on the same
+// thread reuses them, so a sweep cell that runs executions back to back
+// performs zero per-block allocations after its first run reached the
+// high-water mark. Recycling is invisible to semantics (storage is fully
+// reset on reuse; only capacities survive).
+#pragma once
+
+#include <cstddef>
+#include <cstdint>
+#include <optional>
+#include <unordered_set>
+#include <vector>
+
+#include "protocol/block.hpp"
+
+namespace mh {
+
+enum class TieBreak { AdversarialOrder, ConsistentHash };
+
+class BlockTree {
+ public:
+  /// Why an insertion did (not) extend the tree. `Orphan` is the only
+  /// retriable outcome (the parent may still arrive); `Invalid` blocks can
+  /// never become valid (tampered header, or slot not strictly above the
+  /// parent's) and must not be buffered.
+  enum class AddResult : std::uint8_t { Added, Duplicate, Orphan, Invalid };
+
+  /// Entry indices are 32-bit; 0xffffffff is the index map's empty sentinel,
+  /// so a tree holds at most this many blocks (genesis included). try_add
+  /// guards the limit with MH_REQUIRE — reachable at the 10^6-party /
+  /// 10^7-slot bench tiers, it must fail loudly, never truncate.
+  static constexpr std::size_t kMaxBlocks = 0xffffffffu;
+
+  BlockTree();
+  /// Test hook: cap the tree at `max_blocks` total entries (genesis included,
+  /// clamped to kMaxBlocks) so the overflow guard path is exercisable without
+  /// 2^32 insertions.
+  explicit BlockTree(std::size_t max_blocks);
+  ~BlockTree();
+
+  // Storage is arena-backed and exclusively owned: movable, not copyable.
+  BlockTree(BlockTree&&) noexcept = default;
+  BlockTree& operator=(BlockTree&&) noexcept = default;
+  BlockTree(const BlockTree&) = delete;
+  BlockTree& operator=(const BlockTree&) = delete;
+
+  /// Validates and inserts: header hash intact, parent known, slot strictly
+  /// increasing. Returns the precise outcome; the block is ignored unless
+  /// `Added`. Throws std::invalid_argument (MH_REQUIRE) if the insertion
+  /// would overflow the 32-bit entry index or chain-length space.
+  AddResult try_add(const Block& block);
+
+  /// `try_add`, collapsed to "is the block in the tree after the call".
+  bool add(const Block& block) {
+    const AddResult r = try_add(block);
+    return r == AddResult::Added || r == AddResult::Duplicate;
+  }
+
+  [[nodiscard]] bool contains(BlockHash hash) const;
+  [[nodiscard]] const Block& block(BlockHash hash) const;
+  /// Chain length from genesis (genesis has length 0).
+  [[nodiscard]] std::size_t length(BlockHash hash) const;
+  [[nodiscard]] std::size_t block_count() const noexcept { return s_.blocks.size(); }
+
+  /// Longest-chain selection per the tie-break rule, O(1): under
+  /// AdversarialOrder the first-arrived maximum-length block wins; under
+  /// ConsistentHash the minimal hash among them.
+  [[nodiscard]] BlockHash best_head(TieBreak rule) const;
+  /// All maximum-length chain heads, in arrival order (the tie set the
+  /// adversary may order under axiom A0). O(|heads|) copy.
+  [[nodiscard]] std::vector<BlockHash> max_length_heads() const;
+  /// Length of the currently best chain.
+  [[nodiscard]] std::size_t best_length() const noexcept { return best_length_; }
+
+  /// Genesis-to-head block sequence (genesis included). O(chain).
+  [[nodiscard]] std::vector<BlockHash> chain(BlockHash head) const;
+
+  /// Hash of the deepest common ancestor of two chains. O(log chain).
+  [[nodiscard]] BlockHash common_ancestor(BlockHash a, BlockHash b) const;
+
+  /// The block of the chain `head` with the largest slot <= s, if different
+  /// from genesis; used for settlement checks ("what does this chain say about
+  /// slot s?"). O(log chain).
+  [[nodiscard]] std::optional<BlockHash> block_at_slot(BlockHash head, std::uint64_t slot) const;
+
+  /// The ancestor of `head` at chain length `len` (genesis for len = 0);
+  /// requires len <= length(head). O(log chain).
+  [[nodiscard]] BlockHash ancestor_at_length(BlockHash head, std::size_t len) const;
+
+  /// All block hashes in arrival order (genesis first). This is the SoA hash
+  /// column itself, not a copy.
+  [[nodiscard]] const std::vector<BlockHash>& arrival_order() const noexcept {
+    return s_.arrival;
+  }
+
+  /// Structure-of-arrays storage. Public only as a type (for the arena API
+  /// below); the columns themselves stay private to BlockTree.
+  struct Storage {
+    std::vector<Block> blocks;           ///< arrival order; index 0 = genesis
+    std::vector<std::uint32_t> lengths;  ///< chain length column
+    std::vector<std::uint64_t> slots;    ///< slot-label column (hot in queries)
+    std::vector<std::uint32_t> parents;  ///< parent-index column (genesis: 0)
+    std::vector<BlockHash> arrival;      ///< hash column == arrival order
+    /// CSR binary-lifting pool: entry i's table is lift[lift_off[i] + j] for
+    /// j in [0, bit_width(lengths[i])) — one flat array for the whole tree,
+    /// built lazily (mutable: materialized under const queries) for the
+    /// first `lift_built` entries only.
+    mutable std::vector<std::uint32_t> lift_off;
+    mutable std::vector<std::uint32_t> lift;
+    mutable std::uint32_t lift_built = 0;
+    /// Open-addressing hash -> index map (linear probing, power-of-two
+    /// capacity). vals[i] == kEmptySlot marks a free slot; keys are the
+    /// block hashes (already FNV-mixed, re-mixed once more for the mask).
+    std::vector<BlockHash> index_keys;
+    std::vector<std::uint32_t> index_vals;
+    std::size_t index_size = 0;
+    std::vector<std::uint32_t> head_idx;  ///< max-length blocks, arrival order
+  };
+
+  /// Cumulative counters of the calling thread's storage arena (diagnostics
+  /// and tests; recycling must be semantically invisible).
+  struct ArenaStats {
+    std::size_t acquired = 0;  ///< storages handed to trees
+    std::size_t recycled = 0;  ///< of those, served from the free list
+    std::size_t released = 0;  ///< storages returned by destroyed trees
+  };
+  [[nodiscard]] static ArenaStats arena_stats() noexcept;
+  /// Drop the calling thread's free list (frees the cached capacity).
+  static void arena_trim() noexcept;
+
+ private:
+  static constexpr std::uint32_t kEmptySlot = 0xffffffffu;
+
+  void seed_genesis();
+  [[nodiscard]] std::uint32_t find(BlockHash hash) const noexcept;
+  [[nodiscard]] std::uint32_t index_of(BlockHash hash) const;
+  void index_insert(BlockHash hash, std::uint32_t idx);
+  void index_grow();
+  /// Extend the CSR lift pool to cover every entry (no-op when current).
+  void ensure_lift() const;
+  /// Number of lift levels entry `idx` owns: bit_width(length).
+  [[nodiscard]] std::uint32_t levels(std::uint32_t idx) const noexcept;
+  [[nodiscard]] std::uint32_t lift(std::uint32_t idx, std::size_t steps) const;
+
+  Storage s_;
+  std::size_t max_blocks_ = kMaxBlocks;
+  std::size_t best_length_ = 0;
+  BlockHash min_hash_head_ = 0;  ///< min hash among head_idx
+};
+
+/// The parent-unknown buffer shared by honest nodes and the simulation's
+/// public view: deduplicated (re-delivery cannot grow it), retried against a
+/// tree until no progress, and permanently invalid blocks are dropped instead
+/// of retried forever.
+class OrphanBuffer {
+ public:
+  /// Buffers the block unless an identical hash is already waiting.
+  void buffer(const Block& block);
+  /// Retries every buffered block against `tree` until no further progress;
+  /// newly admitted blocks are appended to `*accepted` (when non-null) in
+  /// acceptance order. Duplicate and Invalid outcomes drop the block.
+  void flush(BlockTree& tree, std::vector<Block>* accepted);
+  [[nodiscard]] std::size_t size() const noexcept { return orphans_.size(); }
+  /// Is a block of this hash waiting for its ancestry?
+  [[nodiscard]] bool contains(BlockHash hash) const { return hashes_.count(hash) != 0; }
+  /// Drop every buffered orphan (crash: the buffer is volatile state).
+  void clear() noexcept {
+    orphans_.clear();
+    hashes_.clear();
+  }
+
+ private:
+  std::vector<Block> orphans_;
+  std::unordered_set<BlockHash> hashes_;  ///< dedupe of orphans_
+};
+
+}  // namespace mh

@@ -1,0 +1,80 @@
+#include "support/env.hpp"
+
+#include <cerrno>
+#include <cmath>
+#include <cstdlib>
+#include <stdexcept>
+#include <string>
+
+namespace mh::env {
+
+namespace {
+
+[[noreturn]] void reject(const char* name, const char* raw, const char* expected) {
+  throw std::invalid_argument(std::string(name) + "=\"" + raw + "\" is malformed: expected " +
+                              expected + " (unset or empty uses the default)");
+}
+
+std::string lowered(const char* raw) {
+  std::string out(raw);
+  for (char& c : out)
+    if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
+  return out;
+}
+
+}  // namespace
+
+bool flag(const char* name) {
+  const char* raw = std::getenv(name);
+  if (raw == nullptr || *raw == '\0') return false;
+  const std::string v = lowered(raw);
+  if (v == "1" || v == "true" || v == "on" || v == "yes") return true;
+  if (v == "0" || v == "false" || v == "off" || v == "no") return false;
+  reject(name, raw, "a boolean (1/0, true/false, on/off, yes/no)");
+}
+
+std::size_t size(const char* name, std::size_t fallback, std::size_t min_value) {
+  const char* raw = std::getenv(name);
+  if (raw == nullptr || *raw == '\0') return fallback;
+  // strtoull alone would wrap "-1" to 2^64-1 and stop at trailing junk:
+  // demand plain digits end to end.
+  for (const char* c = raw; *c != '\0'; ++c)
+    if (*c < '0' || *c > '9') reject(name, raw, "a non-negative integer");
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long parsed = std::strtoull(raw, &end, 10);
+  if (end == raw || *end != '\0' || errno == ERANGE)
+    reject(name, raw, "a non-negative integer");
+  if (parsed < min_value)
+    reject(name, raw, min_value == 1 ? "a positive integer" : "a larger integer");
+  return static_cast<std::size_t>(parsed);
+}
+
+double positive_number(const char* name, double fallback) {
+  const char* raw = std::getenv(name);
+  if (raw == nullptr || *raw == '\0') return fallback;
+  errno = 0;
+  char* end = nullptr;
+  const double parsed = std::strtod(raw, &end);
+  if (end == raw || *end != '\0' || errno == ERANGE || !std::isfinite(parsed) || parsed <= 0.0)
+    reject(name, raw, "a finite number > 0");
+  return parsed;
+}
+
+std::size_t choice(const char* name, const char* const* choices, std::size_t count,
+                   std::size_t fallback) {
+  const char* raw = std::getenv(name);
+  if (raw == nullptr || *raw == '\0') return fallback;
+  const std::string v = lowered(raw);
+  for (std::size_t i = 0; i < count; ++i)
+    if (v == choices[i]) return i;
+  std::string expected = "one of {";
+  for (std::size_t i = 0; i < count; ++i) {
+    if (i != 0) expected += ", ";
+    expected += choices[i];
+  }
+  expected += "}";
+  reject(name, raw, expected.c_str());
+}
+
+}  // namespace mh::env
