@@ -48,7 +48,7 @@ struct ScaleCell {
 
 // The quick sweep: every party-count axis value at horizons the seed
 // transport could not reach interactively, plus the 10^5-party committee
-// cell (~2 s on one core — cheap enough for the CI bench-smoke job, wide
+// cell (~0.7 s on one core — cheap enough for the CI bench-smoke job, wide
 // enough that index growth and arena recycling are on the hot path). The
 // registered benchmarks carry the mid-size deep cells (horizon up to 1e5).
 constexpr ScaleCell kSweepCells[] = {
@@ -59,9 +59,10 @@ constexpr ScaleCell kSweepCells[] = {
     {100000, 25, 4, 0xae56b39a9e692465ULL},
 };
 
-// The deep tier (MH_BENCH_DEEP=1): a 10^6-party smoke cell (~4 GB peak,
-// ~15 s) and a 10^7-slot horizon cell (~23 GB peak, ~4 min, 1.25e7 blocks
-// in every view) — the scale points E17 quotes. Run serially: two of these
+// The deep tier (MH_BENCH_DEEP=1): a 10^6-party smoke cell (~1.4 GB peak,
+// ~5 s) and a 10^7-slot horizon cell (~6 GB peak, ~80 s, 1.25e7 blocks
+// stored once in the execution's pool and shared by its 18 views) — the
+// scale points E17 quotes. Run serially: two of these
 // side by side would double the peak footprint for no timing benefit.
 constexpr ScaleCell kDeepCells[] = {
     {1000000, 16, 5, 0x3a321fa47de34b4dULL},
@@ -189,7 +190,7 @@ mh::obs::Json scale_results() {
 
 // range(0) = parties, range(1) = horizon. The (256, 10000) cell is the
 // acceptance point of the transport rewrite (seed transport: ~20 min; now
-// ~1.5 s after the SoA/lazy-lift tree); (16, 100000) is the deep-horizon
+// ~0.3 s with one block pool and per-node views); (16, 100000) is the deep-horizon
 // regime the registered benchmarks can reach without the MH_BENCH_DEEP gate.
 void BM_ProtocolScale(benchmark::State& state) {
   const auto parties = static_cast<std::size_t>(state.range(0));

@@ -7,39 +7,52 @@
 //   * ConsistentHash (axiom A0'): every honest party breaks ties by the
 //     minimal head hash, so identical views yield identical selections.
 //
-// The tree is built for long executions AND wide sweeps. Storage is
-// structure-of-arrays: per-entry columns (block, length, slot, parent,
-// arrival hash) are parallel contiguous arrays, the binary-lifting ancestor
-// tables live in ONE flat CSR pool indexed by (entry, level) — up(i, j) =
-// the 2^j-th ancestor of entry i, up(i, 0) the parent — and the
-// hash -> index map is a flat open-addressing table (keys are already FNV
-// digests). Consequently best_head / max_length_heads are O(1)+copy, the
-// ancestry queries (common_ancestor, block_at_slot, ancestor_at_length) are
-// O(log chain), and an insertion is a handful of sequential array appends:
-// no per-block heap node, no per-entry lift vector, no random reads.
+// One execution stores every block exactly once. A block POOL holds the
+// shared, view-independent facts of each block: the block itself, its chain
+// length, slot and parent, in structure-of-arrays columns indexed by a
+// 32-bit pool id; the binary-lifting ancestor tables in ONE flat CSR array
+// indexed by (id, level) — up(i, j) = the 2^j-th ancestor of id i, up(i, 0)
+// the parent; and the hash -> id map, a flat open-addressing table (keys are
+// already FNV digests). A BlockTree is a VIEW over a pool: a membership flag
+// per pool id, its own arrival-order hash list, its own maximum-length head
+// set (arrival order) and min-hash head. This is the paper's picture: the
+// fork is a single tree and each honest party's view is a subset of it.
 //
-// The lift pool is materialized LAZILY: an insertion appends only the
+// A standalone BlockTree() owns a private pool; view() makes another,
+// genesis-only tree over the same pool. A simulation builds every node view
+// and its public view from its global tree, so P honest parties share one
+// store instead of keeping P+2 copies. Views are ancestor-closed (a block
+// joins a view only after its parent), so a query about a member may walk
+// pool ancestry freely: chain, length, block, common_ancestor,
+// block_at_slot and ancestor_at_length check membership, then answer from
+// the pool's columns. best_head / max_length_heads are O(1)+copy, the
+// ancestry queries O(log chain).
+//
+// Integrity is checked once, when a block enters the pool: the header is
+// re-hashed, and a block enters only once its parent is pooled and its slot
+// exceeds the parent's. A later copy of a pooled hash is validated by
+// equality with the pooled block, so a tampered copy (same hash field,
+// different header) is still Invalid, without a second hash.
+//
+// The lift tables are materialized LAZILY: an insertion appends only the
 // fixed-stride columns; the first lifted query after a batch of insertions
-// extends the pool for the new entries in one contiguous pass (each entry is
-// built exactly once — ancestors always precede descendants in the pool).
-// In a protocol sweep only the global/public observer trees are ever
-// queried, so the per-node trees — which absorb the broadcast volume —
-// never pay for lift tables at all; trees that are queried pay the same
-// total build cost as an eager scheme, batched while the pool is cache-hot.
-// Lazy materialization is why the query methods are const but not
-// internally synchronized: a tree must not be queried from two threads
-// concurrently (no simulation shares one).
+// extends the table for the new ids in one contiguous pass (each id is built
+// exactly once — ancestors always precede descendants in the pool). Lazy
+// materialization is why the query methods are const but not internally
+// synchronized: views of one pool must not be used from two threads
+// concurrently (no simulation shares its pool).
 //
-// The whole Storage block is recycled through a thread-local arena: a
-// destroyed tree donates its buffers, the next tree constructed on the same
-// thread reuses them, so a sweep cell that runs executions back to back
-// performs zero per-block allocations after its first run reached the
-// high-water mark. Recycling is invisible to semantics (storage is fully
+// The pool is recycled through a thread-local arena: when its last view is
+// destroyed the pool donates its buffers, and the next pool created on the
+// same thread reuses them, so a sweep cell that runs executions back to back
+// performs no per-block pool allocations after its first run reached the
+// high-water mark. Recycling is invisible to semantics (a pool is fully
 // reset on reuse; only capacities survive).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <unordered_set>
 #include <vector>
@@ -58,29 +71,37 @@ class BlockTree {
   /// parent's) and must not be buffered.
   enum class AddResult : std::uint8_t { Added, Duplicate, Orphan, Invalid };
 
-  /// Entry indices are 32-bit; 0xffffffff is the index map's empty sentinel,
-  /// so a tree holds at most this many blocks (genesis included). try_add
-  /// guards the limit with MH_REQUIRE — reachable at the 10^6-party /
-  /// 10^7-slot bench tiers, it must fail loudly, never truncate.
+  /// Pool ids are 32-bit; 0xffffffff is the index map's empty sentinel, so a
+  /// pool holds at most this many blocks (genesis included). try_add guards
+  /// the limit with MH_REQUIRE — reachable at the 10^6-party / 10^7-slot
+  /// bench tiers, it must fail loudly, never truncate.
   static constexpr std::size_t kMaxBlocks = 0xffffffffu;
 
+  /// A tree over a private pool.
   BlockTree();
-  /// Test hook: cap the tree at `max_blocks` total entries (genesis included,
-  /// clamped to kMaxBlocks) so the overflow guard path is exercisable without
-  /// 2^32 insertions.
+  /// Test hook: cap the private pool at `max_blocks` total entries (genesis
+  /// included, clamped to kMaxBlocks) so the overflow guard path is
+  /// exercisable without 2^32 insertions.
   explicit BlockTree(std::size_t max_blocks);
-  ~BlockTree();
 
-  // Storage is arena-backed and exclusively owned: movable, not copyable.
+  // A tree is movable, not copyable; view() is the explicit way to share.
   BlockTree(BlockTree&&) noexcept = default;
   BlockTree& operator=(BlockTree&&) noexcept = default;
   BlockTree(const BlockTree&) = delete;
   BlockTree& operator=(const BlockTree&) = delete;
 
-  /// Validates and inserts: header hash intact, parent known, slot strictly
-  /// increasing. Returns the precise outcome; the block is ignored unless
-  /// `Added`. Throws std::invalid_argument (MH_REQUIRE) if the insertion
-  /// would overflow the 32-bit entry index or chain-length space.
+  /// A new genesis-only tree over this tree's pool. Blocks either tree (or
+  /// any other view of the pool) admits are stored once; each view answers
+  /// for its own members only.
+  [[nodiscard]] BlockTree view() const;
+
+  /// Validates and inserts, in this order: Duplicate if the block is in this
+  /// view; Invalid if its header is not intact (re-hashed on first sight,
+  /// compared with the pooled copy after); Orphan if its parent is not in
+  /// this view; Invalid if its slot does not exceed the parent's; else
+  /// Added. The block is ignored unless `Added`. Throws
+  /// std::invalid_argument (MH_REQUIRE) if pooling it would overflow the
+  /// 32-bit id or chain-length space.
   AddResult try_add(const Block& block);
 
   /// `try_add`, collapsed to "is the block in the tree after the call".
@@ -93,7 +114,7 @@ class BlockTree {
   [[nodiscard]] const Block& block(BlockHash hash) const;
   /// Chain length from genesis (genesis has length 0).
   [[nodiscard]] std::size_t length(BlockHash hash) const;
-  [[nodiscard]] std::size_t block_count() const noexcept { return s_.blocks.size(); }
+  [[nodiscard]] std::size_t block_count() const noexcept { return arrival_.size(); }
 
   /// Longest-chain selection per the tie-break rule, O(1): under
   /// AdversarialOrder the first-arrived maximum-length block wins; under
@@ -120,65 +141,42 @@ class BlockTree {
   /// requires len <= length(head). O(log chain).
   [[nodiscard]] BlockHash ancestor_at_length(BlockHash head, std::size_t len) const;
 
-  /// All block hashes in arrival order (genesis first). This is the SoA hash
-  /// column itself, not a copy.
-  [[nodiscard]] const std::vector<BlockHash>& arrival_order() const noexcept {
-    return s_.arrival;
-  }
+  /// This view's block hashes in arrival order (genesis first).
+  [[nodiscard]] const std::vector<BlockHash>& arrival_order() const noexcept { return arrival_; }
 
-  /// Structure-of-arrays storage. Public only as a type (for the arena API
-  /// below); the columns themselves stay private to BlockTree.
-  struct Storage {
-    std::vector<Block> blocks;           ///< arrival order; index 0 = genesis
-    std::vector<std::uint32_t> lengths;  ///< chain length column
-    std::vector<std::uint64_t> slots;    ///< slot-label column (hot in queries)
-    std::vector<std::uint32_t> parents;  ///< parent-index column (genesis: 0)
-    std::vector<BlockHash> arrival;      ///< hash column == arrival order
-    /// CSR binary-lifting pool: entry i's table is lift[lift_off[i] + j] for
-    /// j in [0, bit_width(lengths[i])) — one flat array for the whole tree,
-    /// built lazily (mutable: materialized under const queries) for the
-    /// first `lift_built` entries only.
-    mutable std::vector<std::uint32_t> lift_off;
-    mutable std::vector<std::uint32_t> lift;
-    mutable std::uint32_t lift_built = 0;
-    /// Open-addressing hash -> index map (linear probing, power-of-two
-    /// capacity). vals[i] == kEmptySlot marks a free slot; keys are the
-    /// block hashes (already FNV-mixed, re-mixed once more for the mask).
-    std::vector<BlockHash> index_keys;
-    std::vector<std::uint32_t> index_vals;
-    std::size_t index_size = 0;
-    std::vector<std::uint32_t> head_idx;  ///< max-length blocks, arrival order
-  };
-
-  /// Cumulative counters of the calling thread's storage arena (diagnostics
-  /// and tests; recycling must be semantically invisible).
+  /// Cumulative counters of the calling thread's pool arena (diagnostics and
+  /// tests; recycling must be semantically invisible). One pool is acquired
+  /// per standalone tree; view() acquires none.
   struct ArenaStats {
-    std::size_t acquired = 0;  ///< storages handed to trees
+    std::size_t acquired = 0;  ///< pools handed to trees
     std::size_t recycled = 0;  ///< of those, served from the free list
-    std::size_t released = 0;  ///< storages returned by destroyed trees
+    std::size_t released = 0;  ///< pools returned when their last view died
   };
   [[nodiscard]] static ArenaStats arena_stats() noexcept;
   /// Drop the calling thread's free list (frees the cached capacity).
   static void arena_trim() noexcept;
 
+  /// The shared block store. Public only as a type (for the arena that
+  /// recycles pools); it is defined, and used, in blocktree.cpp alone.
+  struct Pool;
+
  private:
-  static constexpr std::uint32_t kEmptySlot = 0xffffffffu;
+  explicit BlockTree(std::shared_ptr<Pool> pool);
 
-  void seed_genesis();
-  [[nodiscard]] std::uint32_t find(BlockHash hash) const noexcept;
+  [[nodiscard]] bool member(std::uint32_t id) const noexcept {
+    return id < member_.size() && member_[id] != 0;
+  }
+  /// Pool id of a member of this view; throws on any other hash.
   [[nodiscard]] std::uint32_t index_of(BlockHash hash) const;
-  void index_insert(BlockHash hash, std::uint32_t idx);
-  void index_grow();
-  /// Extend the CSR lift pool to cover every entry (no-op when current).
-  void ensure_lift() const;
-  /// Number of lift levels entry `idx` owns: bit_width(length).
-  [[nodiscard]] std::uint32_t levels(std::uint32_t idx) const noexcept;
-  [[nodiscard]] std::uint32_t lift(std::uint32_t idx, std::size_t steps) const;
+  /// Make pooled id `id` (whose parent is a member) a member of this view.
+  void admit(std::uint32_t id);
 
-  Storage s_;
-  std::size_t max_blocks_ = kMaxBlocks;
+  std::shared_ptr<Pool> pool_;
+  std::vector<std::uint8_t> member_;    ///< membership flag per pool id
+  std::vector<BlockHash> arrival_;      ///< member hashes, arrival order
+  std::vector<std::uint32_t> head_idx_;  ///< max-length member ids, arrival order
   std::size_t best_length_ = 0;
-  BlockHash min_hash_head_ = 0;  ///< min hash among head_idx
+  BlockHash min_hash_head_ = 0;  ///< min hash among head_idx_
 };
 
 /// The parent-unknown buffer shared by honest nodes and the simulation's

@@ -1,20 +1,23 @@
 #include "protocol/node.hpp"
 
+#include <utility>
+
 #include "obs/obs.hpp"
 #include "support/check.hpp"
 
 namespace mh {
 
-HonestNode::HonestNode(PartyId id, TieBreak rule, const ScheduleSource* schedule)
-    : id_(id), rule_(rule), schedule_(schedule) {
+HonestNode::HonestNode(PartyId id, TieBreak rule, const ScheduleSource* schedule,
+                       BlockTree view)
+    : id_(id), rule_(rule), schedule_(schedule), tree_(std::move(view)) {
   MH_REQUIRE(schedule != nullptr);
 }
 
 // blocks_received is counted (aggregated) by Simulation::deliver_due / step;
 // receive() itself only records the rare outcomes.
 void HonestNode::receive(const Block& block, std::vector<Block>* accepted) {
-  if (!verify_block_integrity(block) ||                  // forged header
-      !schedule_->eligible(block.issuer, block.slot)) {  // signature check
+  // Signature check; header integrity is the tree's (checked once per pool).
+  if (!schedule_->eligible(block.issuer, block.slot)) {
     MH_OBS_COUNT("protocol.node.invalid_dropped", 1);
     return;
   }

@@ -10,17 +10,21 @@ namespace mh {
 
 class HonestNode {
  public:
-  HonestNode(PartyId id, TieBreak rule, const ScheduleSource* schedule);
+  /// `view` is the node's initially genesis-only tree; a simulation passes a
+  /// view of its block pool, a standalone node owns a private pool.
+  HonestNode(PartyId id, TieBreak rule, const ScheduleSource* schedule,
+             BlockTree view = BlockTree());
 
   [[nodiscard]] PartyId id() const noexcept { return id_; }
 
   /// Validates issuance against the schedule (the "signature check") and adds
-  /// the block to the local view. Blocks whose parents are unknown are
-  /// buffered (deduplicated) and retried when an ancestor arrives; blocks the
-  /// tree reports permanently invalid are dropped, never buffered. Every
-  /// block newly admitted to the view — the delivered one and any orphans it
-  /// unblocked, in acceptance order (parents first) — is appended to
-  /// `*accepted` when non-null, so callers can mirror the node's view.
+  /// the block to the local view, whose try_add checks header integrity.
+  /// Blocks whose parents are unknown are buffered (deduplicated) and retried
+  /// when an ancestor arrives; blocks the tree reports permanently invalid
+  /// are dropped, never buffered. Every block newly admitted to the view —
+  /// the delivered one and any orphans it unblocked, in acceptance order
+  /// (parents first) — is appended to `*accepted` when non-null, so callers
+  /// can mirror the node's view.
   void receive(const Block& block, std::vector<Block>* accepted = nullptr);
 
   /// Current longest-chain head under this node's tie-break rule.

@@ -16,6 +16,7 @@ Simulation::Simulation(const ScheduleSource& schedule, SimulationConfig config,
       adversary_(adversary),
       faults_(faults),
       hetero_(network_.heterogeneous()),
+      public_tree_(global_tree_.view()),
       rng_(config.seed) {
   if (faults_) {
     MH_REQUIRE_MSG(faults_->parties() == schedule.honest_parties() &&
@@ -33,7 +34,7 @@ Simulation::Simulation(const ScheduleSource& schedule, SimulationConfig config,
   }
   nodes_.reserve(schedule.honest_parties());
   for (PartyId p = 0; p < schedule.honest_parties(); ++p)
-    nodes_.emplace_back(p, config.tie_break, &schedule_);
+    nodes_.emplace_back(p, config.tie_break, &schedule_, global_tree_.view());
   all_blocks_.push_back(genesis_block());
   if (adversary_) adversary_->begin(*this);
 }

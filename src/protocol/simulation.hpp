@@ -114,7 +114,8 @@ class Simulation {
   /// blocks per adversarial leadership, on any parent it has seen.
   Block mint_adversarial(BlockHash parent, std::size_t slot, std::uint64_t payload);
 
-  /// The omniscient view: every block ever forged or minted.
+  /// The omniscient view: every block ever forged or minted. It owns the
+  /// execution's block pool; node views and the public view share it.
   [[nodiscard]] const BlockTree& global_tree() const noexcept { return global_tree_; }
   [[nodiscard]] const std::vector<Block>& all_blocks() const noexcept { return all_blocks_; }
 
@@ -186,12 +187,14 @@ class Simulation {
   faults::FaultInjector* faults_;      // may be null (the common case)
   bool fault_active_ = false;          ///< faults_ set AND its plan non-empty
   bool hetero_ = false;                ///< non-degenerate NetConfig attached
+  /// Owns the execution's block pool, the only block storage: every node
+  /// view and the public view are views of it (declared first, built first).
+  BlockTree global_tree_;
+  BlockTree public_tree_;  ///< blocks accepted by at least one honest node
   std::vector<HonestNode> nodes_;
   std::size_t observed_delta_ = 0;     ///< max counted honest acceptance delay
   std::size_t leaderships_skipped_ = 0;
   std::vector<PartyId> fault_scratch_;  ///< crash/restart event list reuse
-  BlockTree global_tree_;
-  BlockTree public_tree_;  ///< blocks accepted by at least one honest node
   OrphanBuffer public_orphans_;
   std::vector<Block> all_blocks_;
   std::vector<Watch> watches_;

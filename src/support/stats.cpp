@@ -101,6 +101,14 @@ double beta_continued_fraction(double a, double b, double x) {
   return h;
 }
 
+/// ln Gamma(x) via the reentrant lgamma_r: std::lgamma also stores the sign
+/// of Gamma(x) in the process-wide `signgam`, a data race when oracle worker
+/// threads compute Clopper-Pearson bounds concurrently. Same value bits.
+double log_gamma(double x) {
+  int sign = 0;
+  return ::lgamma_r(x, &sign);
+}
+
 /// Quantile of the Beta(a, b) law by bisection on the regularized incomplete
 /// beta (monotone); stops as soon as [lo, hi] has no representable midpoint.
 double beta_quantile(double a, double b, double p) {
@@ -121,7 +129,7 @@ double regularized_incomplete_beta(double a, double b, double x) {
   MH_REQUIRE(a > 0.0 && b > 0.0);
   if (x <= 0.0) return 0.0;
   if (x >= 1.0) return 1.0;
-  const double ln_front = std::lgamma(a + b) - std::lgamma(a) - std::lgamma(b) +
+  const double ln_front = log_gamma(a + b) - log_gamma(a) - log_gamma(b) +
                           a * std::log(x) + b * std::log1p(-x);
   const double front = std::exp(ln_front);
   // Use the symmetry I_x(a,b) = 1 - I_{1-x}(b,a) where the fraction converges

@@ -376,6 +376,105 @@ TEST(BlockTree, DifferentialFuzzAgainstReferenceTree) {
   }
 }
 
+TEST(BlockTree, ViewsOverOnePoolMatchStandaloneTrees) {
+  // k views sharing one pool against k standalone trees, each pair fed the
+  // same stream in its own order: duplicates, orphans whose parents come
+  // later, slot-invalid children, and tampered copies of pooled hashes (same
+  // hash field, different payload). The streams interleave round-robin, so a
+  // block may enter the pool through any view, and a copy may reach a view
+  // before or after its original is pooled. Every outcome and every
+  // observable must match the standalone twin.
+  constexpr std::size_t kViews = 4;
+  Rng rng(0x900155);
+  for (int round = 0; round < 6; ++round) {
+    std::vector<Block> valid{genesis_block()};
+    std::vector<Block> stream{genesis_block()};  // genesis re-delivery: Duplicate
+    for (std::uint64_t i = 0; i < 140; ++i) {
+      const std::size_t pick = rng.bernoulli(0.6) ? valid.size() - 1 : rng.below(valid.size());
+      const Block parent = valid[pick];
+      if (rng.bernoulli(0.06)) {
+        stream.push_back(make_block(parent.hash, parent.slot, 0, i));  // slot-invalid child
+        continue;
+      }
+      const Block b = make_block(parent.hash, parent.slot + 1 + rng.below(2), 0, i);
+      valid.push_back(b);
+      stream.push_back(b);
+      if (rng.bernoulli(0.1)) stream.push_back(b);  // duplicate delivery
+      if (rng.bernoulli(0.12)) {
+        Block tampered = b;  // keeps b's hash field
+        tampered.payload ^= 0x5a5a;
+        stream.push_back(tampered);
+      }
+    }
+
+    std::vector<BlockTree> views;
+    std::vector<BlockTree> alone;
+    views.emplace_back();
+    for (std::size_t v = 0; v < kViews; ++v) {
+      if (v != 0) views.push_back(views.front().view());
+      alone.emplace_back();
+    }
+    std::vector<OrphanBuffer> view_orphans(kViews);
+    std::vector<OrphanBuffer> alone_orphans(kViews);
+    std::vector<std::vector<Block>> orders(kViews, stream);
+    for (std::vector<Block>& order : orders)
+      for (std::size_t i = order.size() - 1; i > 0; --i)
+        std::swap(order[i], order[rng.below(i + 1)]);
+
+    const auto offer = [](BlockTree& tree, OrphanBuffer& orphans, const Block& b) {
+      const BlockTree::AddResult r = tree.try_add(b);
+      if (r == BlockTree::AddResult::Added) orphans.flush(tree, nullptr);
+      if (r == BlockTree::AddResult::Orphan) orphans.buffer(b);
+      return r;
+    };
+    const auto expect_same = [&](const BlockTree& view, const BlockTree& ref) {
+      ASSERT_EQ(view.arrival_order(), ref.arrival_order());
+      ASSERT_EQ(view.block_count(), ref.block_count());
+      ASSERT_EQ(view.best_length(), ref.best_length());
+      ASSERT_EQ(view.max_length_heads(), ref.max_length_heads());
+      ASSERT_EQ(view.best_head(TieBreak::AdversarialOrder),
+                ref.best_head(TieBreak::AdversarialOrder));
+      ASSERT_EQ(view.best_head(TieBreak::ConsistentHash), ref.best_head(TieBreak::ConsistentHash));
+      for (const Block& b : stream) {
+        ASSERT_EQ(view.contains(b.hash), ref.contains(b.hash));
+        if (!ref.contains(b.hash)) {
+          EXPECT_THROW(static_cast<void>(view.block(b.hash)), std::invalid_argument);
+          continue;
+        }
+        ASSERT_EQ(view.block(b.hash), ref.block(b.hash));
+        ASSERT_EQ(view.length(b.hash), ref.length(b.hash));
+        ASSERT_EQ(view.chain(b.hash), ref.chain(b.hash));
+      }
+      const std::vector<BlockHash>& members = ref.arrival_order();
+      for (int q = 0; q < 20; ++q) {
+        const BlockHash x = members[rng.below(members.size())];
+        const BlockHash y = members[rng.below(members.size())];
+        ASSERT_EQ(view.common_ancestor(x, y), ref.common_ancestor(x, y));
+        const std::size_t at = rng.below(ref.length(x) + 1);
+        ASSERT_EQ(view.ancestor_at_length(x, at), ref.ancestor_at_length(x, at));
+        const std::uint64_t s = rng.below(ref.block(x).slot + 2);
+        ASSERT_EQ(view.block_at_slot(x, s), ref.block_at_slot(x, s));
+      }
+    };
+
+    for (std::size_t step = 0; step < stream.size(); ++step) {
+      for (std::size_t v = 0; v < kViews; ++v) {
+        const Block& b = orders[v][step];
+        ASSERT_EQ(offer(views[v], view_orphans[v], b), offer(alone[v], alone_orphans[v], b))
+            << "round " << round << ", view " << v << ", step " << step;
+        ASSERT_EQ(view_orphans[v].size(), alone_orphans[v].size());
+      }
+      if (rng.bernoulli(0.1))
+        for (std::size_t v = 0; v < kViews; ++v) expect_same(views[v], alone[v]);
+    }
+    for (std::size_t v = 0; v < kViews; ++v) {
+      expect_same(views[v], alone[v]);
+      // Every valid block ends up in every view, whatever its order.
+      ASSERT_EQ(views[v].block_count(), valid.size());
+    }
+  }
+}
+
 TEST(BlockTree, LiftPropertiesAtPowerOfTwoLengthBoundaries) {
   // The CSR lift table of an entry owns bit_width(length) levels, so its
   // width changes exactly when length crosses a power of two. Query at every
@@ -483,6 +582,28 @@ TEST(BlockTree, MoveTransfersStorageWithoutDoubleRelease) {
   const BlockTree::ArenaStats after = BlockTree::arena_stats();
   EXPECT_EQ(after.acquired, before.acquired + 1);
   EXPECT_EQ(after.released, before.released + 1);
+}
+
+TEST(BlockTree, ViewsShareOnePoolReleasedByTheLastView) {
+  const BlockTree::ArenaStats before = BlockTree::arena_stats();
+  {
+    BlockTree owner;
+    BlockTree a = owner.view();
+    {
+      const BlockTree b = owner.view();
+      EXPECT_EQ(b.block_count(), 1u);
+    }
+    EXPECT_EQ(BlockTree::arena_stats().acquired, before.acquired + 1);
+    EXPECT_EQ(BlockTree::arena_stats().released, before.released);
+    const auto chain = fixtures::grow_chain(a, genesis_block().hash, {1, 2});
+    EXPECT_FALSE(owner.contains(chain.back().hash));  // a's blocks are not owner's
+    { const BlockTree owner_gone = std::move(owner); }
+    // The pool outlives the tree that created it while a view remains.
+    EXPECT_EQ(BlockTree::arena_stats().released, before.released);
+    EXPECT_EQ(a.best_head(TieBreak::AdversarialOrder), chain.back().hash);
+    EXPECT_EQ(a.ancestor_at_length(chain.back().hash, 1), chain.front().hash);
+  }
+  EXPECT_EQ(BlockTree::arena_stats().released, before.released + 1);
 }
 
 }  // namespace

@@ -144,5 +144,73 @@ TEST(Node, ConsistentTieBreakPicksMinHash) {
   EXPECT_EQ(node.best_head(), std::min(x.hash, y.hash));
 }
 
+TEST(Node, TamperedCopyOfPooledBlockIsNeverAdmitted) {
+  // Nodes over one pool validate a delivered copy of a pooled block by
+  // equality with the pooled block, not by re-hashing it: a tampered copy
+  // (the original's hash field, another payload) must still be rejected,
+  // whether or not the receiving node already holds the original.
+  const LeaderSchedule schedule = fixed_schedule();
+  BlockTree pool;
+  HonestNode holder(0, TieBreak::ConsistentHash, &schedule, pool.view());
+  HonestNode other(1, TieBreak::ConsistentHash, &schedule, pool.view());
+  const Block good = make_block(genesis_block().hash, 1, 0, 0);
+  Block tampered = good;
+  tampered.payload ^= 1;
+
+  // Not yet pooled: the tree re-hashes the header.
+  other.receive(tampered);
+  EXPECT_FALSE(other.knows(good.hash));
+  EXPECT_EQ(other.buffered_orphans(), 0u);
+
+  holder.receive(good);  // pools the original
+  ASSERT_TRUE(holder.tree().contains(good.hash));
+
+  std::vector<Block> accepted;
+  holder.receive(tampered, &accepted);  // holds the original: a duplicate
+  other.receive(tampered, &accepted);   // does not: must not admit it
+  EXPECT_TRUE(accepted.empty());
+  EXPECT_EQ(holder.tree().block(good.hash), good);
+  EXPECT_FALSE(other.knows(good.hash));
+  EXPECT_EQ(other.tree().block_count(), 1u);
+
+  // A tampered copy whose parent the node lacks is invalid, not an orphan.
+  const Block child = make_block(good.hash, 2, 1, 5);
+  holder.receive(child);
+  Block tampered_child = child;
+  tampered_child.payload ^= 1;
+  other.receive(tampered_child);
+  EXPECT_EQ(other.buffered_orphans(), 0u);
+  EXPECT_FALSE(other.knows(child.hash));
+
+  // The genuine copies are still admitted, in either order.
+  other.receive(child);
+  other.receive(good);
+  EXPECT_TRUE(other.tree().contains(child.hash));
+  EXPECT_EQ(other.tree().block(child.hash), child);
+}
+
+TEST(Node, IneligibleBlockIsNeverAdmittedOrKnown) {
+  // The eligibility ("signature") check is per node and precedes the tree:
+  // a block whose issuer the schedule did not elect is dropped outright —
+  // never admitted, never buffered — even when some other tree of the pool
+  // holds it.
+  const LeaderSchedule schedule = fixed_schedule();
+  BlockTree pool;
+  HonestNode node(0, TieBreak::ConsistentHash, &schedule, pool.view());
+  const Block ineligible = make_block(genesis_block().hash, 1, 1, 0);  // slot 1: party 0 only
+  node.receive(ineligible);
+  EXPECT_FALSE(node.knows(ineligible.hash));
+
+  ASSERT_TRUE(pool.add(ineligible));  // pooled via a tree without a schedule
+  node.receive(ineligible);
+  EXPECT_FALSE(node.knows(ineligible.hash));
+
+  const Block ineligible_orphan = make_block(0xdeadbeef, 2, 7, 0);
+  node.receive(ineligible_orphan);
+  EXPECT_FALSE(node.knows(ineligible_orphan.hash));
+  EXPECT_EQ(node.buffered_orphans(), 0u);
+  EXPECT_EQ(node.tree().block_count(), 1u);
+}
+
 }  // namespace
 }  // namespace mh

@@ -219,5 +219,23 @@ TEST(Simulation, RunUntilIsIncremental) {
   EXPECT_THROW(sim.run_until(51), std::invalid_argument);
 }
 
+TEST(Simulation, HoldsExactlyOneBlockPool) {
+  // Every node view and the public view share the global tree's pool:
+  // constructing a Simulation acquires one pool from the arena, and
+  // destroying it returns that one pool.
+  const SymbolLaw law{0.4, 0.25, 0.35};
+  Rng rng(31);
+  const LeaderSchedule schedule = LeaderSchedule::from_symbol_law(law, 40, 16, rng);
+  RandomizedAdversary adversary(31);
+  const BlockTree::ArenaStats before = BlockTree::arena_stats();
+  {
+    Simulation sim(schedule, SimulationConfig{TieBreak::AdversarialOrder, 5}, 2, &adversary);
+    EXPECT_EQ(BlockTree::arena_stats().acquired, before.acquired + 1);
+    sim.run();
+    EXPECT_EQ(BlockTree::arena_stats().acquired, before.acquired + 1);
+  }
+  EXPECT_EQ(BlockTree::arena_stats().released, before.released + 1);
+}
+
 }  // namespace
 }  // namespace mh
