@@ -59,9 +59,10 @@ constexpr ScaleCell kSweepCells[] = {
     {100000, 25, 4, 0xae56b39a9e692465ULL},
 };
 
-// The deep tier (MH_BENCH_DEEP=1): a 10^6-party smoke cell (~1.4 GB peak,
-// ~5 s) and a 10^7-slot horizon cell (~6 GB peak, ~80 s, 1.25e7 blocks
-// stored once in the execution's pool and shared by its 18 views) — the
+// The deep tier (MH_BENCH_DEEP=1): a 10^6-party smoke cell (~0.7 GB peak,
+// ~3 s) and a 10^7-slot horizon cell (~6.7 GB peak, ~80 s, 1.25e7 blocks
+// stored once in the execution's pool and shared by its 18 views, plus the
+// network's intern table of every block it carried) — the
 // scale points E17 quotes. Run serially: two of these
 // side by side would double the peak footprint for no timing benefit.
 constexpr ScaleCell kDeepCells[] = {

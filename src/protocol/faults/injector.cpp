@@ -1,5 +1,8 @@
 #include "protocol/faults/injector.hpp"
 
+#include <algorithm>
+#include <iterator>
+
 #include "support/check.hpp"
 
 namespace mh::faults {
@@ -7,37 +10,70 @@ namespace mh::faults {
 FaultInjector::FaultInjector(const FaultPlan& plan, std::size_t parties, std::size_t horizon)
     : plan_(plan), parties_(parties), horizon_(horizon), link_streams_(plan.seed) {
   plan_.validate(parties, horizon);
+  // The transport asks window_active and is_down on every send; both answer
+  // from sorted, disjoint windows by binary search instead of scanning the plan.
+  std::vector<Window> any;
+  for (const PartitionSpec& p : plan_.partitions) any.push_back(Window{p.start, p.heal});
+  for (const CrashSpec& c : plan_.churn) any.push_back(Window{c.crash, c.restart});
+  for (const LinkFaultSpec& l : plan_.links) any.push_back(Window{l.start, l.end});
+  std::sort(any.begin(), any.end(),
+            [](const Window& a, const Window& b) { return a.start < b.start; });
+  for (const Window& w : any) {  // validate() made every window non-empty
+    if (!active_.empty() && w.start <= active_.back().end)
+      active_.back().end = std::max(active_.back().end, w.end);
+    else
+      active_.push_back(w);
+  }
+  if (plan_.churn.empty()) return;
+  // Down-windows sorted by (party, crash). A party's windows never overlap
+  // (validate() rejects that), so they are disjoint as they stand.
+  std::vector<CrashSpec> churn = plan_.churn;
+  std::sort(churn.begin(), churn.end(), [](const CrashSpec& a, const CrashSpec& b) {
+    return a.party != b.party ? a.party < b.party : a.crash < b.crash;
+  });
+  down_begin_.assign(parties + 1, 0);
+  for (const CrashSpec& c : churn) {
+    ++down_begin_[c.party + 1];
+    down_.push_back(Window{c.crash, c.restart});
+  }
+  for (std::size_t p = 0; p < parties; ++p) down_begin_[p + 1] += down_begin_[p];
+}
+
+bool FaultInjector::covers(std::span<const Window> windows, std::size_t slot) noexcept {
+  // The last window starting at or before `slot` is the only one that can hold it.
+  const auto after =
+      std::upper_bound(windows.begin(), windows.end(), slot,
+                       [](std::size_t s, const Window& w) { return s < w.start; });
+  return after != windows.begin() && slot < std::prev(after)->end;
+}
+
+std::span<const FaultInjector::Window> FaultInjector::down_windows(
+    PartyId party) const noexcept {
+  if (down_begin_.empty() || party >= parties_) return {};
+  return {down_.data() + down_begin_[party], down_.data() + down_begin_[party + 1]};
 }
 
 bool FaultInjector::window_active(std::size_t slot) const noexcept {
-  for (const PartitionSpec& p : plan_.partitions)
-    if (p.start <= slot && slot < p.heal) return true;
-  for (const CrashSpec& c : plan_.churn)
-    if (c.crash <= slot && slot < c.restart) return true;
-  for (const LinkFaultSpec& l : plan_.links)
-    if (l.start <= slot && slot < l.end) return true;
-  return false;
+  return covers(active_, slot);
 }
 
 bool FaultInjector::is_down(PartyId party, std::size_t slot) const noexcept {
-  for (const CrashSpec& c : plan_.churn)
-    if (c.party == party && c.crash <= slot && slot < c.restart) return true;
-  return false;
+  return covers(down_windows(party), slot);
 }
 
 bool FaultInjector::down_in_window(PartyId party, std::size_t lo, std::size_t hi) const noexcept {
-  for (const CrashSpec& c : plan_.churn)
-    if (c.party == party && c.crash <= hi && lo < c.restart) return true;
+  for (const Window& w : down_windows(party))
+    if (w.start <= hi && lo < w.end) return true;
   return false;
 }
 
 std::size_t FaultInjector::down_slots_in(PartyId party, std::size_t lo,
                                          std::size_t hi) const noexcept {
   std::size_t down = 0;
-  for (const CrashSpec& c : plan_.churn) {
-    if (c.party != party || c.restart <= lo || c.crash > hi) continue;
-    const std::size_t from = c.crash > lo ? c.crash : lo;
-    const std::size_t to = c.restart - 1 < hi ? c.restart - 1 : hi;
+  for (const Window& w : down_windows(party)) {
+    if (w.end <= lo || w.start > hi) continue;
+    const std::size_t from = w.start > lo ? w.start : lo;
+    const std::size_t to = w.end - 1 < hi ? w.end - 1 : hi;
     down += to - from + 1;
   }
   return down;

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "engine/seed_sequence.hpp"
@@ -58,9 +59,11 @@ class FaultInjector {
   /// Is any fault able to touch slot `slot`? While true the transport must
   /// take the per-recipient watermark path (the all-recipient bound cannot be
   /// advanced by a round whose ships may be dropped or delayed per-link).
+  /// A binary search over the plan's merged fault windows.
   [[nodiscard]] bool window_active(std::size_t slot) const noexcept;
 
   /// Is `party` crashed at `slot` (some down-window [crash, restart) covers it)?
+  /// A binary search over the party's sorted down-windows.
   [[nodiscard]] bool is_down(PartyId party, std::size_t slot) const noexcept;
 
   /// Does a down-window of `party` intersect slots [lo, hi] (inclusive)?
@@ -104,11 +107,27 @@ class FaultInjector {
   [[nodiscard]] FaultStats& stats() noexcept { return stats_; }
 
  private:
+  /// Slots [start, end).
+  struct Window {
+    std::size_t start;
+    std::size_t end;
+  };
+  /// Does one of `windows` (sorted by start, disjoint) hold `slot`?
+  [[nodiscard]] static bool covers(std::span<const Window> windows, std::size_t slot) noexcept;
+  /// `party`'s down-windows, sorted by crash slot (empty for unknown parties).
+  [[nodiscard]] std::span<const Window> down_windows(PartyId party) const noexcept;
+
   FaultPlan plan_;
   std::size_t parties_;
   std::size_t horizon_;
   engine::SeedSequence link_streams_;
   FaultStats stats_;
+  /// Every partition, down- and link-fault window, merged: sorted and disjoint.
+  std::vector<Window> active_;
+  /// Down-windows grouped by party: party p's are
+  /// down_[down_begin_[p] .. down_begin_[p + 1]). Empty when the plan has no churn.
+  std::vector<std::uint32_t> down_begin_;
+  std::vector<Window> down_;
 };
 
 }  // namespace mh::faults

@@ -21,7 +21,10 @@ Network::Network(std::size_t parties, std::size_t delta, net::NetConfig config)
   MH_REQUIRE_MSG(parties >= 1, "a network needs at least one party, got " +
                                    std::to_string(parties));
   config_.validate(parties);
-  if (hetero_) egress_.resize(parties);
+  if (hetero_) {
+    egress_.resize(parties);
+    coverage_.resize(parties);
+  }
 }
 
 void Network::record(std::unordered_map<BlockHash, std::size_t>& sent, BlockHash hash,
@@ -43,13 +46,6 @@ bool Network::covered_all(BlockHash hash, std::size_t due) const {
   return all != sent_all_.end() && all->second <= due;
 }
 
-// Shipping counters are aggregated at the broadcast/inject call sites (one
-// add per round, not per push): push() runs millions of times per execution
-// and a per-push hook alone costs ~2% wall-clock on the E14 acceptance cell.
-void Network::push(PartyId recipient, const Block& block, std::size_t due) {
-  events_.schedule(recipient, due, block);
-}
-
 void Network::record_recipient(PartyId recipient, BlockHash hash, std::size_t due) {
   RecipientQueue& queue = queues_[recipient];
   const auto [it, inserted] = queue.sent.try_emplace(hash, due);
@@ -67,15 +63,26 @@ void Network::expire_watermarks(PartyId recipient, std::size_t slot) {
   // re-ship would, so dropping it is safe (worst case: a duplicate re-ship at
   // a position the seed transport always shipped).
   RecipientQueue& queue = queues_[recipient];
-  while (!queue.sent_log.empty() && queue.sent_log.front().second + delta_ + 1 <= slot) {
-    const auto [hash, due] = queue.sent_log.front();
-    queue.sent_log.pop_front();
+  auto& log = queue.sent_log;
+  if (log.empty()) return;
+  std::size_t head = queue.log_head;
+  for (; head < log.size() && log[head].second + delta_ + 1 <= slot; ++head) {
+    const auto [hash, due] = log[head];
     const auto it = queue.sent.find(hash);
     if (it != queue.sent.end() && it->second == due) {
       queue.sent.erase(it);
       MH_OBS_COUNT("protocol.net.watermarks_expired", 1);
     }
   }
+  // Compact once the expired prefix is half the log: amortized O(1).
+  if (head == log.size()) {
+    log.clear();
+    head = 0;
+  } else if (2 * head >= log.size()) {
+    log.erase(log.begin(), log.begin() + static_cast<std::ptrdiff_t>(head));
+    head = 0;
+  }
+  queue.log_head = head;
 }
 
 // A send during an active fault window may lose or skew individual links, so
@@ -141,15 +148,15 @@ std::size_t Network::link_extra(std::size_t slot, PartyId sender, PartyId recipi
   return config_.latency.draw(rng);
 }
 
-void Network::hetero_send(PartyId sender, PartyId recipient, const Block& block,
-                          std::size_t slot, std::size_t adversary_delay,
-                          std::size_t fault_extra, bool duplicate) {
+void Network::hetero_send(PartyId sender, PartyId recipient, BlockId id, std::size_t slot,
+                          std::size_t adversary_delay, std::size_t fault_extra,
+                          bool duplicate) {
   const std::size_t depart = egress_depart(sender, slot);
   const std::size_t due =
       depart + 1 + adversary_delay + fault_extra + link_extra(depart, sender, recipient);
-  push(recipient, block, due);
-  if (duplicate) push(recipient, block, due);
-  queues_[recipient].scheduled.insert(block.hash);
+  push(recipient, id, due);
+  if (duplicate) push(recipient, id, due);
+  cover(recipient, id);
 }
 
 void Network::hetero_broadcast_chain(const BlockTree& tree, const Block& block,
@@ -161,7 +168,8 @@ void Network::hetero_broadcast_chain(const BlockTree& tree, const Block& block,
                      std::to_string(sender) + " at slot " + std::to_string(sent_slot));
   // The forger self-accepts: its own coverage gains the block immediately, so
   // a neighbor's later relay back to it deduplicates.
-  queues_[sender].scheduled.insert(block.hash);
+  const BlockId id = interned_.intern(block);
+  cover(sender, id);
   const bool faulted = fault_window(sent_slot);
   MH_OBS_ONLY(std::size_t shipped = 0;)
   topology_.for_each_neighbor(sender, [&](PartyId r) {
@@ -171,36 +179,35 @@ void Network::hetero_broadcast_chain(const BlockTree& tree, const Block& block,
                                         std::to_string(sent_slot) +
                                         " exceeds Delta = " + std::to_string(delta_));
     faults::LinkVerdict link{};
-    // A lost ship schedules nothing: the recipient's scheduled-set keeps the
-    // gap, so the next broadcast or relay on this chain re-walks past it.
+    // A lost ship schedules nothing: the recipient's coverage keeps the gap,
+    // so the next broadcast or relay on this chain re-walks past it.
     if (faulted && !faulted_link(sender, r, sent_slot, &link)) return;
-    auto& scheduled = queues_[r].scheduled;
+    const Coverage& coverage = coverage_[r];
     lift_scratch_.clear();
     BlockHash h = block.parent;
-    for (; h != genesis_block().hash && scheduled.find(h) == scheduled.end();
+    for (; h != genesis_block().hash && !coverage.test(interned_.find(h));
          h = tree.block(h).parent)
       lift_scratch_.push_back(h);
     MH_OBS_HIST("protocol.net.chain_sync_depth", lift_scratch_.size());
     MH_OBS_ONLY(shipped += lift_scratch_.size() + 1;)
     for (std::size_t i = lift_scratch_.size(); i-- > 0;)
-      hetero_send(sender, r, tree.block(lift_scratch_[i]), sent_slot, delay,
+      hetero_send(sender, r, interned_.intern(tree.block(lift_scratch_[i])), sent_slot, delay,
                   faulted ? link.extra_delay : 0, false);
-    hetero_send(sender, r, block, sent_slot, delay, faulted ? link.extra_delay : 0,
+    hetero_send(sender, r, id, sent_slot, delay, faulted ? link.extra_delay : 0,
                 faulted && link.duplicate);
   });
   MH_OBS_COUNT("protocol.net.blocks_shipped", shipped);
 }
 
-void Network::hetero_relay(PartyId relayer, const Block& block, std::size_t slot) {
-  const bool faulted = fault_window(slot);
+void Network::hetero_relay(PartyId relayer, BlockId id, std::size_t slot, bool faulted) {
+  const BlockId canonical = interned_.canonical(id);
   MH_OBS_ONLY(std::size_t relayed = 0;)
   topology_.for_each_neighbor(relayer, [&](PartyId neighbor) {
-    auto& scheduled = queues_[neighbor].scheduled;
-    if (scheduled.find(block.hash) != scheduled.end()) return;
+    if (coverage_[neighbor].test(canonical)) return;
     faults::LinkVerdict link{};
     if (faulted && !faulted_link(relayer, neighbor, slot, &link)) return;
     MH_OBS_ONLY(++relayed;)
-    hetero_send(relayer, neighbor, block, slot, 0, faulted ? link.extra_delay : 0,
+    hetero_send(relayer, neighbor, id, slot, 0, faulted ? link.extra_delay : 0,
                 faulted && link.duplicate);
   });
   MH_OBS_COUNT("protocol.net.blocks_relayed", relayed);
@@ -217,6 +224,7 @@ void Network::broadcast(const Block& block, std::size_t sent_slot,
                  "non-monotone broadcast: party " + std::to_string(block.issuer) +
                      "'s slot-" + std::to_string(block.slot) +
                      " block cannot be sent at slot " + std::to_string(sent_slot));
+  const BlockId id = interned_.intern(block);
   if (hetero_) {
     MH_OBS_COUNT("protocol.net.blocks_shipped", 1);
     const bool faulted = fault_window(sent_slot);
@@ -231,12 +239,12 @@ void Network::broadcast(const Block& block, std::size_t sent_slot,
                                             " at slot " + std::to_string(sent_slot) +
                                             " exceeds Delta = " + std::to_string(delta_));
         if (faulted && faults_->is_down(r, sent_slot)) continue;
-        push(r, block, sent_slot + 1 + delay);
-        queues_[r].scheduled.insert(block.hash);
+        push(r, id, sent_slot + 1 + delay);
+        cover(r, id);
       }
       return;
     }
-    queues_[block.issuer].scheduled.insert(block.hash);
+    cover(block.issuer, id);
     topology_.for_each_neighbor(block.issuer, [&](PartyId r) {
       const std::size_t delay = per_recipient_delay.empty() ? 0 : per_recipient_delay[r];
       MH_REQUIRE_MSG(delay <= delta_, "adversary delay " + std::to_string(delay) +
@@ -245,8 +253,8 @@ void Network::broadcast(const Block& block, std::size_t sent_slot,
                                           " exceeds Delta = " + std::to_string(delta_));
       faults::LinkVerdict link{};
       if (faulted && !faulted_link(block.issuer, r, sent_slot, &link)) return;
-      hetero_send(block.issuer, r, block, sent_slot, delay,
-                  faulted ? link.extra_delay : 0, faulted && link.duplicate);
+      hetero_send(block.issuer, r, id, sent_slot, delay, faulted ? link.extra_delay : 0,
+                  faulted && link.duplicate);
     });
     return;
   }
@@ -254,7 +262,7 @@ void Network::broadcast(const Block& block, std::size_t sent_slot,
   const bool faulted = fault_window(sent_slot);
   if (per_recipient_delay.empty() && !faulted) {
     const std::size_t due = sent_slot + 1;
-    for (PartyId r = 0; r < parties_; ++r) push(r, block, due);
+    for (PartyId r = 0; r < parties_; ++r) push(r, id, due);
     // The block carries no ancestry here; it is chain-complete for all
     // recipients only if its parent already is by the same due.
     if (covered_all(block.parent, due)) record(sent_all_, block.hash, due);
@@ -274,8 +282,8 @@ void Network::broadcast(const Block& block, std::size_t sent_slot,
       due += link.extra_delay;
     }
     due_max = std::max(due_max, due);
-    push(r, block, due);
-    if (faulted && link.duplicate) push(r, block, due);
+    push(r, id, due);
+    if (faulted && link.duplicate) push(r, id, due);
     if (covered(r, block.parent, due)) record_recipient(r, block.hash, due);
   }
   if (!faulted && covered_all(block.parent, due_max)) record(sent_all_, block.hash, due_max);
@@ -319,15 +327,17 @@ void Network::broadcast_chain(const BlockTree& tree, const Block& block, std::si
     // The walk stopping short of genesis means a watermark answered it.
     if (h != genesis_block().hash) MH_OBS_COUNT("protocol.net.watermark_hits", 1);
     for (std::size_t i = lift_scratch_.size(); i-- > 0;) {
-      const Block& ancestor = tree.block(lift_scratch_[i]);
+      const BlockId ancestor = interned_.intern(tree.block(lift_scratch_[i]));
       for (PartyId r = 0; r < parties_; ++r) push(r, ancestor, due);
-      record(sent_all_, ancestor.hash, due);
+      record(sent_all_, lift_scratch_[i], due);
     }
-    for (PartyId r = 0; r < parties_; ++r) push(r, block, due);
+    const BlockId id = interned_.intern(block);
+    for (PartyId r = 0; r < parties_; ++r) push(r, id, due);
     record(sent_all_, block.hash, due);
     return;
   }
 
+  const BlockId id = interned_.intern(block);
   std::size_t due_max = sent_slot + 1;
   MH_OBS_ONLY(std::size_t shipped = 0;)
   for (PartyId r = 0; r < parties_; ++r) {
@@ -353,11 +363,11 @@ void Network::broadcast_chain(const BlockTree& tree, const Block& block, std::si
     MH_OBS_ONLY(shipped += lift_scratch_.size() + 1;)
     if (h != genesis_block().hash) MH_OBS_COUNT("protocol.net.watermark_hits", 1);
     for (std::size_t i = lift_scratch_.size(); i-- > 0;) {
-      push(r, tree.block(lift_scratch_[i]), due);
+      push(r, interned_.intern(tree.block(lift_scratch_[i])), due);
       record_recipient(r, lift_scratch_[i], due);
     }
-    push(r, block, due);
-    if (faulted && link.duplicate) push(r, block, due);
+    push(r, id, due);
+    if (faulted && link.duplicate) push(r, id, due);
     record_recipient(r, block.hash, due);
   }
   MH_OBS_COUNT("protocol.net.blocks_shipped", shipped);
@@ -386,9 +396,10 @@ void Network::inject(const Block& block, PartyId recipient, std::size_t visible_
     return;
   }
   MH_OBS_COUNT("protocol.net.blocks_shipped", 1);
-  push(recipient, block, visible_slot);
+  const BlockId id = interned_.intern(block);
+  push(recipient, id, visible_slot);
   if (hetero_) {
-    queues_[recipient].scheduled.insert(block.hash);
+    cover(recipient, id);
     return;
   }
   // Watermarks must stay chain-complete: a partial disclosure (parent not
@@ -403,6 +414,7 @@ void Network::inject_all(const Block& block, std::size_t visible_slot) {
                      " block cannot be visible at slot " + std::to_string(visible_slot));
   MH_OBS_COUNT("protocol.net.blocks_shipped", parties_);
   const bool faulted = fault_window(visible_slot);
+  const BlockId id = interned_.intern(block);
   if (hetero_) {
     for (PartyId r = 0; r < parties_; ++r) {
       if (faulted && faults_->is_down(r, visible_slot)) {
@@ -410,8 +422,8 @@ void Network::inject_all(const Block& block, std::size_t visible_slot) {
         MH_OBS_COUNT("protocol.faults.ships_dropped", 1);
         continue;
       }
-      push(r, block, visible_slot);
-      queues_[r].scheduled.insert(block.hash);
+      push(r, id, visible_slot);
+      cover(r, id);
     }
     return;
   }
@@ -425,7 +437,7 @@ void Network::inject_all(const Block& block, std::size_t visible_slot) {
       MH_OBS_COUNT("protocol.faults.ships_dropped", 1);
       continue;
     }
-    push(r, block, visible_slot);
+    push(r, id, visible_slot);
     if (!all_covered && covered(r, block.parent, visible_slot))
       record_recipient(r, block.hash, visible_slot);
   }
@@ -441,14 +453,15 @@ void Network::crash_recipient(PartyId recipient) {
   // claimed they were scheduled. The all-recipient bound covers this
   // recipient's wiped in-flight messages too, so it must be invalidated —
   // conservatively for everyone, which only costs re-ships.
-  const std::size_t invalidated =
-      queue.sent.size() + sent_all_.size() + queue.scheduled.size();
+  const std::size_t invalidated = queue.sent.size() + sent_all_.size() +
+                                  (hetero_ ? coverage_[recipient].count : 0);
   if (faults_ != nullptr) faults_->stats().watermarks_invalidated += invalidated;
   MH_OBS_COUNT("protocol.faults.watermarks_invalidated", invalidated);
   events_.wipe(recipient);
   queue.sent.clear();
   queue.sent_log.clear();
-  queue.scheduled.clear();
+  queue.log_head = 0;
+  if (hetero_) coverage_[recipient] = Coverage{};
   sent_all_.clear();
 }
 
@@ -456,9 +469,10 @@ void Network::resync_ship(const Block& block, PartyId recipient, std::size_t slo
   MH_REQUIRE_MSG(recipient < parties_,
                  "re-sync for unknown party " + std::to_string(recipient) +
                      " (network has " + std::to_string(parties_) + " parties)");
-  push(recipient, block, slot);
+  const BlockId id = interned_.intern(block);
+  push(recipient, id, slot);
   if (hetero_)
-    queues_[recipient].scheduled.insert(block.hash);
+    cover(recipient, id);
   else
     record_recipient(recipient, block.hash, slot);
   if (faults_ != nullptr) ++faults_->stats().resync_blocks;
@@ -475,15 +489,27 @@ void Network::collect_into(PartyId recipient, std::size_t slot, std::vector<Bloc
   MH_REQUIRE_MSG(recipient < parties_,
                  "collect for unknown party " + std::to_string(recipient) +
                      " (network has " + std::to_string(parties_) + " parties)");
-  if (!hetero_) expire_watermarks(recipient, slot);
   out->clear();
-  events_.collect_due(recipient, slot, out);
-  // Gossip forwarding: every pop is this recipient's first sight of the
-  // block (the scheduled-set deduplicated earlier copies), so it relays to
-  // the neighbors that still lack it. Relay dues are >= slot + 1, so the
-  // cascade never re-enters this slot's collect.
-  if (hetero_)
-    for (const Block& block : *out) hetero_relay(recipient, block, slot);
+  if (!hetero_) {
+    expire_watermarks(recipient, slot);
+    events_.collect_due(recipient, slot,
+                        [&](BlockId id) { out->push_back(interned_.block(id)); });
+    return;
+  }
+  // Gossip forwarding: every pop relays to the neighbors not yet scheduled to
+  // receive the block. Coverage only stops a second ship to a neighbor that
+  // was scheduled one; a pop is not always this recipient's first sight (the
+  // adversary re-publishes, and a fault may duplicate a ship), and a neighbor
+  // whose earlier ship was dropped in a fault window is still uncovered, so a
+  // duplicate pop is the relay retry after a faulted drop. A relay never
+  // schedules toward this recipient (every block in its lane is in its
+  // coverage, so even a one-party ring's self-loop is deduplicated), and relay
+  // dues are >= slot + 1, so the cascade never re-enters this slot's collect.
+  const bool faulted = fault_window(slot);
+  events_.collect_due(recipient, slot, [&](BlockId id) {
+    out->push_back(interned_.block(id));
+    hetero_relay(recipient, id, slot, faulted);
+  });
 }
 
 }  // namespace mh

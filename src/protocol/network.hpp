@@ -1,9 +1,14 @@
 // The protocol transport: a façade over the discrete-event network core in
 // src/protocol/net/.
 //
-// Every scheduled send is a net::EventCore delivery keyed (due slot, global
-// seq); what varies between configurations is WHO a send reaches and WHEN it
-// lands:
+// The Network interns every distinct Block it is handed once, into a table it
+// owns (a Block column plus a flat hash -> id index), and moves only 32-bit
+// ids: every scheduled send is a net::EventCore lane entry keyed (due slot,
+// scheduling order), and collect materializes the Blocks. A tampered copy
+// under a known hash gets its own id, so it is delivered as it was sent, but
+// it shares the hash's canonical id for coverage: every dedupe below stays
+// keyed by hash. What varies between configurations is WHO a send reaches and
+// WHEN it lands:
 //
 //   * Degenerate NetConfig (full mesh, zero extra latency, unlimited
 //     bandwidth — the default): the slot-synchronous network with a rushing
@@ -21,18 +26,19 @@
 //     to its out-neighbors only), every link send draws a capped
 //     net::LatencyLaw extra delay from a counter-based stream keyed
 //     (slot, sender, recipient), egress beyond the per-party bandwidth cap
-//     spills into later slots, and recipients RELAY each first-seen delivery
-//     onward (multi-hop gossip; per-recipient scheduled-sets deduplicate).
-//     The synchrony bound is no longer configured — it is RECOVERED as the
-//     observed maximum adoption delay, which is the Delta the oracle grades
-//     the run at (see Simulation::net_report).
+//     spills into later slots, and recipients RELAY every delivery onward to
+//     the out-neighbors not yet scheduled to receive it (multi-hop gossip;
+//     per-recipient coverage bitsets deduplicate). The synchrony bound is no
+//     longer configured — it is RECOVERED as the observed maximum adoption
+//     delay, which is the Delta the oracle grades the run at (see
+//     Simulation::net_report).
 //
 // Chain-sync: honest participants broadcast *chains* (the model's messages
 // are blockchains). The degenerate path ships, per recipient, only the
 // ancestors not already scheduled by the block's due slot, tracked by
 // delivered watermarks (per-recipient + an all-recipient bound; entries
 // expire delta + 1 slots past their due). The heterogeneous path tracks a
-// binary per-recipient scheduled-set instead — latency draws can reorder
+// binary per-recipient coverage bitset instead — latency draws can reorder
 // arrivals, so a due-bounded watermark would overclaim; out-of-order
 // arrivals park in the node's orphan buffer until ancestry lands.
 //
@@ -42,16 +48,15 @@
 // per-recipient only (drops make a round's coverage non-uniform, so the
 // all-recipient bound must not advance), dropped ships record no watermark,
 // and a crash wipes the recipient's volatile state — queued deliveries,
-// watermarks, scheduled-set — forcing a re-sync (resync_ship) on restart.
+// watermarks, coverage — forcing a re-sync (resync_ship) on restart.
 // With no injector attached every code path below is byte-identical to the
 // un-faulted transport. Adversarial injections and re-sync ships are direct
 // channels: they bypass topology, latency, and bandwidth in every mode.
 #pragma once
 
 #include <cstddef>
-#include <deque>
+#include <cstdint>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "engine/seed_sequence.hpp"
@@ -59,6 +64,7 @@
 #include "protocol/blocktree.hpp"
 #include "protocol/net/config.hpp"
 #include "protocol/net/event_core.hpp"
+#include "protocol/net/intern_table.hpp"
 #include "protocol/net/topology.hpp"
 
 namespace mh {
@@ -111,7 +117,7 @@ class Network {
   void inject_all(const Block& block, std::size_t visible_slot);
 
   /// Crash `recipient`: its undelivered queue, chain-sync watermarks, and
-  /// scheduled-set are volatile endpoint state and are lost. The
+  /// coverage are volatile endpoint state and are lost. The
   /// all-recipient bound covered this recipient's wiped in-flight messages
   /// too, so it is invalidated as well (for everyone — a dropped watermark
   /// only ever costs a re-ship).
@@ -124,15 +130,17 @@ class Network {
   void resync_ship(const Block& block, PartyId recipient, std::size_t slot);
 
   /// Deliveries for `recipient` due at the onset of `slot`, in (due, seq)
-  /// event order. In heterogeneous mode each first-seen pop is relayed to
-  /// the recipient's out-neighbors that lack it (due >= slot + 1, so relay
-  /// cascades never loop within a slot).
+  /// event order. In heterogeneous mode every pop — a duplicate too — is
+  /// relayed to the recipient's out-neighbors not yet scheduled to receive
+  /// it (due >= slot + 1, so relay cascades never loop within a slot).
   [[nodiscard]] std::vector<Block> collect(PartyId recipient, std::size_t slot);
 
   /// Allocation-free collect for the simulation hot loop.
   void collect_into(PartyId recipient, std::size_t slot, std::vector<Block>* out);
 
  private:
+  using BlockId = net::BlockId;
+
   struct RecipientQueue {
     /// Chain-complete watermark (degenerate mode): sent[h] = d means this
     /// recipient has been scheduled to receive h AND its whole ancestry by
@@ -142,12 +150,32 @@ class Network {
     /// makes a later broadcast_chain re-ship a duplicate the seed transport
     /// shipped anyway.
     std::unordered_map<BlockHash, std::size_t> sent;
-    /// FIFO of (hash, due) insertions backing the expiry sweep in collect.
-    std::deque<std::pair<BlockHash, std::size_t>> sent_log;
-    /// Binary coverage (heterogeneous mode): every block ever scheduled for
-    /// delivery to this recipient, at whatever due. Deduplicates gossip
-    /// relays and bounds chain-sync walks.
-    std::unordered_set<BlockHash> scheduled;
+    /// FIFO of (hash, due) insertions backing the expiry sweep in collect;
+    /// entries below log_head are expired. (A vector, not a deque: a
+    /// default-constructed deque allocates, and there is one queue per party.)
+    std::vector<std::pair<BlockHash, std::size_t>> sent_log;
+    std::size_t log_head = 0;
+  };
+
+  /// Binary coverage (heterogeneous mode): the canonical ids of every block
+  /// ever scheduled for delivery to one recipient, at whatever due.
+  /// Deduplicates gossip relays and bounds chain-sync walks.
+  struct Coverage {
+    std::vector<std::uint64_t> words;
+    std::size_t count = 0;  ///< set bits: distinct hashes scheduled
+
+    [[nodiscard]] bool test(BlockId id) const noexcept {
+      const std::size_t w = id >> 6;
+      return w < words.size() && ((words[w] >> (id & 63)) & 1) != 0;
+    }
+    void set(BlockId id) {
+      const std::size_t w = id >> 6;
+      if (w >= words.size()) words.resize(w + 1, 0);
+      const std::uint64_t bit = std::uint64_t{1} << (id & 63);
+      if ((words[w] & bit) != 0) return;
+      words[w] |= bit;
+      ++count;
+    }
   };
 
   /// Is `hash` (with full ancestry) scheduled for `recipient` by `due`?
@@ -162,7 +190,17 @@ class Network {
   void record_recipient(PartyId recipient, BlockHash hash, std::size_t due);
   /// Drop per-recipient watermarks whose due lies delta + 1 slots behind.
   void expire_watermarks(PartyId recipient, std::size_t slot);
-  void push(PartyId recipient, const Block& block, std::size_t due);
+  /// Mark `id` scheduled for `recipient`, as its hash (heterogeneous mode).
+  void cover(PartyId recipient, BlockId id) {
+    coverage_[recipient].set(interned_.canonical(id));
+  }
+  /// Shipping counters are aggregated at the broadcast/inject call sites (one
+  /// add per round, not per push): push() runs millions of times per
+  /// execution and a per-push hook alone costs ~2% wall-clock on the E14
+  /// acceptance cell.
+  void push(PartyId recipient, BlockId id, std::size_t due) {
+    events_.schedule(recipient, due, id);
+  }
   /// Is a fault able to touch sends at `slot`? (Forces the per-recipient path.)
   [[nodiscard]] bool fault_window(std::size_t slot) const noexcept;
   /// Resolve one honest link's fault verdict; false = the ship is lost.
@@ -181,16 +219,16 @@ class Network {
   [[nodiscard]] std::size_t link_extra(std::size_t slot, PartyId sender,
                                        PartyId recipient) const;
   /// Ship one block on one honest link: bandwidth, then latency, then the
-  /// fault verdict's extra delay; marks the recipient's scheduled-set.
-  void hetero_send(PartyId sender, PartyId recipient, const Block& block,
-                   std::size_t slot, std::size_t adversary_delay, std::size_t fault_extra,
-                   bool duplicate);
+  /// fault verdict's extra delay; marks the recipient's coverage.
+  void hetero_send(PartyId sender, PartyId recipient, BlockId id, std::size_t slot,
+                   std::size_t adversary_delay, std::size_t fault_extra, bool duplicate);
   void hetero_broadcast_chain(const BlockTree& tree, const Block& block,
                               std::size_t sent_slot,
                               const std::vector<std::size_t>& per_recipient_delay);
-  /// Gossip forwarding of a first-seen delivery (issuer-blind: adversarial
-  /// blocks relay too — delivering MORE is always within the model).
-  void hetero_relay(PartyId relayer, const Block& block, std::size_t slot);
+  /// Gossip forwarding of a delivery (issuer-blind: adversarial blocks relay
+  /// too — delivering MORE is always within the model). `faulted` is
+  /// fault_window(slot).
+  void hetero_relay(PartyId relayer, BlockId id, std::size_t slot, bool faulted);
 
   std::size_t parties_;
   std::size_t delta_;
@@ -199,8 +237,10 @@ class Network {
   net::Topology topology_;
   engine::SeedSequence link_seeds_;          ///< per-(slot, link) latency streams
   faults::FaultInjector* faults_ = nullptr;  // may be null (the common case)
-  net::EventCore events_;                    ///< the per-recipient delivery queues
-  std::vector<RecipientQueue> queues_;       // per-recipient coverage state
+  net::InternTable interned_;                ///< every block ever handed over, by id
+  net::EventCore events_;                    ///< the per-recipient delivery lanes
+  std::vector<RecipientQueue> queues_;       // per-recipient watermark state
+  std::vector<Coverage> coverage_;           ///< per-recipient (hetero only)
   struct Egress {
     std::size_t slot = 0;
     std::size_t used = 0;

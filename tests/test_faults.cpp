@@ -167,6 +167,62 @@ TEST(FaultInjector, DownSlotDiscountCountsOnlyDownSlots) {
   EXPECT_FALSE(inj.down_in_window(4, 127, 139));
 }
 
+TEST(FaultInjector, TableLookupsMatchAPlanScan) {
+  // window_active and is_down answer by binary search over windows merged and
+  // sorted at construction; they must agree with a scan of the plan at every
+  // slot, past the horizon too (windows may outlast it), and for parties the
+  // plan never names.
+  const auto window_scan = [](const faults::FaultPlan& plan, std::size_t slot) {
+    for (const auto& p : plan.partitions)
+      if (p.start <= slot && slot < p.heal) return true;
+    for (const auto& c : plan.churn)
+      if (c.crash <= slot && slot < c.restart) return true;
+    for (const auto& l : plan.links)
+      if (l.start <= slot && slot < l.end) return true;
+    return false;
+  };
+  const auto down_scan = [](const faults::FaultPlan& plan, PartyId party, std::size_t slot) {
+    for (const auto& c : plan.churn)
+      if (c.party == party && c.crash <= slot && slot < c.restart) return true;
+    return false;
+  };
+  const auto check = [&](const faults::FaultPlan& plan, std::size_t parties,
+                         std::size_t horizon, const std::string& label) {
+    const faults::FaultInjector inj(plan, parties, horizon);
+    for (std::size_t slot = 0; slot <= 3 * horizon + 10; ++slot) {
+      ASSERT_EQ(inj.window_active(slot), window_scan(plan, slot)) << label << " slot " << slot;
+      for (PartyId party = 0; party <= parties; ++party)
+        ASSERT_EQ(inj.is_down(party, slot), down_scan(plan, party, slot))
+            << label << " party " << party << " slot " << slot;
+    }
+    EXPECT_FALSE(inj.is_down(kAdversary, 1)) << label;
+  };
+  const std::size_t parties = 7, horizon = 60;
+  std::size_t churned = 0;
+  for (const faults::FaultProfile profile :
+       {faults::FaultProfile::None, faults::FaultProfile::PartitionHeal,
+        faults::FaultProfile::Churn, faults::FaultProfile::LossyLinks,
+        faults::FaultProfile::Asynchrony, faults::FaultProfile::Mixed}) {
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+      Rng rng(seed);
+      const faults::FaultPlan plan =
+          faults::sample_fault_plan(profile, parties, horizon, 1 + seed % 3, rng);
+      churned += plan.churn.size();
+      check(plan, parties, horizon,
+            std::string(faults::fault_profile_name(profile)) + " seed " + std::to_string(seed));
+    }
+  }
+  EXPECT_GT(churned, 0u);  // the sampled plans did exercise the down tables
+  // Hand-made: windows that end past the horizon, overlapping and adjacent
+  // windows of different kinds (merged for window_active), and out-of-order
+  // churn entries for one party.
+  faults::FaultPlan plan;
+  plan.churn = {{2, 40, 45}, {2, 5, 9}, {0, 59, 80}, {2, 20, 21}, {3, 9, 12}, {1, 60, 62}};
+  plan.links.push_back({55, 170, 0.5, 0.0, 0.0, 0});
+  plan.partitions.push_back({30, 100, {0, 0, 0, 1, 1, 1, 1}});
+  check(plan, parties, horizon, "hand-made");
+}
+
 TEST(FaultInjector, EffectiveScheduleRemovesDownLeaders) {
   std::vector<SlotLeaders> slots(4);
   slots[0].honest = {0, 1};  // slot 1: before the crash

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <queue>
 #include <set>
 #include <string>
 
@@ -18,6 +19,8 @@
 #include "protocol/net/event_core.hpp"
 #include "protocol/net/latency.hpp"
 #include "protocol/net/topology.hpp"
+#include "protocol/adversary.hpp"
+#include "protocol/faults/injector.hpp"
 #include "protocol/network.hpp"
 #include "protocol/simulation.hpp"
 #include "protocol/transport_probe.hpp"
@@ -25,6 +28,7 @@
 namespace mh {
 namespace {
 
+using net::BlockId;
 using net::EventCore;
 using net::LatencyKind;
 using net::LatencyLaw;
@@ -46,57 +50,158 @@ std::vector<Block> drain(Network& net, PartyId recipient, std::size_t slot) {
 // EventCore: the (due, seq) total order
 // ---------------------------------------------------------------------------
 
+std::vector<BlockId> collect_ids(EventCore& core, PartyId recipient, std::size_t slot) {
+  std::vector<BlockId> ids;
+  core.collect_due(recipient, slot, [&](BlockId id) { ids.push_back(id); });
+  return ids;
+}
+
 TEST(EventCore, PopsDueAscendingThenSchedulingOrder) {
   EventCore core(1);
-  const Block a = test_block(1), b = test_block(2), c = test_block(3);
-  core.schedule(0, 5, a);
-  core.schedule(0, 3, b);
-  core.schedule(0, 5, c);
-  std::vector<Block> out;
-  core.collect_due(0, 10, &out);
-  ASSERT_EQ(out.size(), 3u);
-  EXPECT_EQ(out[0].payload, 2u);  // earliest due first...
-  EXPECT_EQ(out[1].payload, 1u);  // ...then scheduling order within a due
-  EXPECT_EQ(out[2].payload, 3u);
+  core.schedule(0, 5, 1);
+  core.schedule(0, 3, 2);
+  core.schedule(0, 5, 3);
+  // Earliest due first, then scheduling order within a due.
+  EXPECT_EQ(collect_ids(core, 0, 10), (std::vector<BlockId>{2, 1, 3}));
 }
 
 TEST(EventCore, CollectHonorsTheDueBoundAndDrains) {
   EventCore core(2);
-  core.schedule(0, 2, test_block(1));
-  core.schedule(0, 4, test_block(2));
-  core.schedule(1, 2, test_block(3));
-  std::vector<Block> out;
-  core.collect_due(0, 3, &out);
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].payload, 1u);
+  core.schedule(0, 2, 1);
+  core.schedule(0, 4, 2);
+  core.schedule(1, 2, 3);
+  EXPECT_EQ(collect_ids(core, 0, 3), (std::vector<BlockId>{1}));
   EXPECT_EQ(core.pending(0), 1u);   // the due-4 delivery is still queued
   EXPECT_EQ(core.pending(1), 1u);   // other recipients untouched
-  out.clear();
-  core.collect_due(0, 4, &out);
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].payload, 2u);
+  EXPECT_EQ(collect_ids(core, 0, 4), (std::vector<BlockId>{2}));
+  EXPECT_EQ(core.pending(0), 0u);
 }
 
 TEST(EventCore, SeqOrderSurvivesOutOfInsertionDues) {
   // A later-scheduled send with a shorter draw overtakes an earlier one: the
   // contract is (due, seq), NOT insertion order.
   EventCore core(1);
-  core.schedule(0, 9, test_block(1));  // scheduled first, lands last
-  core.schedule(0, 2, test_block(2));
-  std::vector<Block> out;
-  core.collect_due(0, 100, &out);
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out[0].payload, 2u);
-  EXPECT_EQ(out[1].payload, 1u);
+  core.schedule(0, 9, 1);  // scheduled first, lands last
+  core.schedule(0, 2, 2);
+  EXPECT_EQ(collect_ids(core, 0, 100), (std::vector<BlockId>{2, 1}));
 }
 
 TEST(EventCore, WipeDropsOnlyThatRecipient) {
   EventCore core(2);
-  core.schedule(0, 2, test_block(1));
-  core.schedule(1, 2, test_block(2));
+  core.schedule(0, 2, 1);
+  core.schedule(1, 2, 2);
   core.wipe(0);
   EXPECT_EQ(core.pending(0), 0u);
   EXPECT_EQ(core.pending(1), 1u);
+}
+
+TEST(EventCore, LanesMatchAPriorityQueueReference) {
+  // Differential fuzz against the (due, seq) heap the lanes replaced. A slot
+  // loop schedules mostly near-future dues, some far ahead (bandwidth
+  // spill), some at or before the slot just collected (rushed injections
+  // after a collect), re-collects an already-collected slot, and wipes.
+  struct Ref {
+    std::size_t due;
+    std::uint64_t seq;
+    BlockId id;
+  };
+  struct Later {
+    bool operator()(const Ref& a, const Ref& b) const noexcept {
+      return a.due != b.due ? a.due > b.due : a.seq > b.seq;
+    }
+  };
+  using Heap = std::priority_queue<Ref, std::vector<Ref>, Later>;
+  constexpr std::size_t kParties = 3;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    EventCore core(kParties);
+    std::vector<Heap> ref(kParties);
+    std::uint64_t seq = 0;
+    BlockId next_id = 0;
+    for (std::size_t slot = 1; slot <= 200; ++slot) {
+      const std::size_t sends = rng.below(12);
+      for (std::size_t i = 0; i < sends; ++i) {
+        const auto r = static_cast<PartyId>(rng.below(kParties));
+        std::size_t due = slot + 1 + rng.below(4);
+        const std::uint64_t kind = rng.below(10);
+        if (kind == 0) due = slot + 10 + rng.below(40);        // far ahead
+        if (kind == 1) due = slot - std::min<std::size_t>(slot, rng.below(3));  // rushed
+        core.schedule(r, due, next_id);
+        ref[r].push(Ref{due, seq++, next_id});
+        ++next_id;
+      }
+      if (rng.below(25) == 0) {
+        const auto r = static_cast<PartyId>(rng.below(kParties));
+        core.wipe(r);
+        ref[r] = Heap();
+      }
+      // Collect the slot, sometimes twice (a rushed send in between lands in
+      // the second collect of the same slot).
+      const std::size_t rounds = rng.below(4) == 0 ? 2 : 1;
+      for (std::size_t round = 0; round < rounds; ++round) {
+        if (round == 1) {
+          const auto r = static_cast<PartyId>(rng.below(kParties));
+          core.schedule(r, slot, next_id);
+          ref[r].push(Ref{slot, seq++, next_id});
+          ++next_id;
+        }
+        for (PartyId r = 0; r < kParties; ++r) {
+          const std::vector<BlockId> got = collect_ids(core, r, slot);
+          std::vector<BlockId> want;
+          while (!ref[r].empty() && ref[r].top().due <= slot) {
+            want.push_back(ref[r].top().id);
+            ref[r].pop();
+          }
+          ASSERT_EQ(got, want) << "seed " << seed << " slot " << slot << " party " << r;
+          ASSERT_EQ(core.pending(r), ref[r].size());
+        }
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// InternTable: one id per distinct Block, coverage by hash
+// ---------------------------------------------------------------------------
+
+TEST(InternTable, InternsEachBlockOnceAcrossIndexGrowth) {
+  net::InternTable table;
+  std::vector<Block> blocks;
+  for (std::uint64_t i = 0; i < 5000; ++i) blocks.push_back(test_block(i, 1 + i % 7));
+  for (std::size_t i = 0; i < blocks.size(); ++i)
+    ASSERT_EQ(table.intern(blocks[i]), static_cast<BlockId>(i));
+  EXPECT_EQ(table.size(), blocks.size());
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    const auto id = static_cast<BlockId>(i);
+    ASSERT_EQ(table.intern(blocks[i]), id);  // a repeat finds the same id
+    ASSERT_EQ(table.find(blocks[i].hash), id);
+    ASSERT_EQ(table.block(id), blocks[i]);
+    ASSERT_EQ(table.canonical(id), id);
+  }
+  EXPECT_EQ(table.size(), blocks.size());
+  EXPECT_EQ(table.find(test_block(99999).hash), net::InternTable::kNoId);
+}
+
+TEST(InternTable, TamperedCopyGetsItsOwnIdAndTheHashsCanonicalId) {
+  net::InternTable table;
+  const Block genuine = test_block(1);
+  Block tampered = genuine;
+  tampered.payload ^= 0xbad;
+  Block forged = genuine;
+  forged.slot += 5;
+  const BlockId g = table.intern(genuine);
+  const BlockId t = table.intern(tampered);
+  const BlockId f = table.intern(forged);
+  EXPECT_NE(t, g);
+  EXPECT_NE(f, t);
+  EXPECT_EQ(table.block(t), tampered);  // delivered as sent
+  EXPECT_EQ(table.block(f), forged);
+  EXPECT_EQ(table.canonical(t), g);  // covered as the hash
+  EXPECT_EQ(table.canonical(f), g);
+  EXPECT_EQ(table.intern(tampered), t);
+  EXPECT_EQ(table.find(genuine.hash), g);
+  const BlockId other = table.intern(test_block(2));
+  EXPECT_EQ(table.canonical(other), other);
 }
 
 // ---------------------------------------------------------------------------
@@ -306,6 +411,63 @@ TEST(HeteroNetwork, AdversarialInjectionBypassesTopologyAndLatency) {
   EXPECT_EQ(drain(net, 3, 2).size(), 1u);  // not a ring neighbor of anyone involved
 }
 
+TEST(HeteroNetwork, TamperedCopyIsDeliveredAsItselfButSharesItsHashDedupe) {
+  // The transport interns blocks by value: a copy with a forged payload under
+  // a genuine block's hash gets its own id, so it is delivered exactly as
+  // sent, but relay dedupe stays keyed by hash.
+  NetConfig cfg;
+  cfg.topology = TopologyKind::Ring;
+  Network net(5, 0, cfg);
+  BlockTree tree;
+  const Block genuine = test_block(1, 1, 0);
+  tree.add(genuine);
+  Block tampered = genuine;
+  tampered.payload ^= 0xbad;
+  net.broadcast_chain(tree, genuine, 1);  // to ring neighbors 1 and 4, due 2
+  net.inject(tampered, 2, 2);             // party 2 is covered by the copy
+  std::vector<std::vector<Block>> got(5);
+  for (std::size_t slot = 2; slot <= 6; ++slot)
+    for (PartyId p = 0; p < 5; ++p)
+      for (const Block& b : drain(net, p, slot)) got[p].push_back(b);
+  EXPECT_EQ(got[1], std::vector<Block>{genuine});
+  EXPECT_EQ(got[4], std::vector<Block>{genuine});
+  // Party 1's relay of the genuine block to party 2 is deduplicated by the
+  // tampered copy; party 2 relays the copy to party 3, which deduplicates
+  // party 4's relay of the genuine block.
+  EXPECT_EQ(got[2], std::vector<Block>{tampered});
+  EXPECT_EQ(got[3], std::vector<Block>{tampered});
+  EXPECT_TRUE(got[0].empty());
+}
+
+TEST(HeteroNetwork, CrashInvalidatesOneCoverageEntryPerDistinctHash) {
+  // watermarks_invalidated counts the distinct hashes scheduled for the
+  // crashed recipient: repeats and tampered copies of a hash count once.
+  faults::FaultInjector inj(faults::FaultPlan{}, 3, 10);
+  NetConfig cfg;
+  cfg.topology = TopologyKind::Ring;
+  Network net(3, 0, cfg);
+  net.attach_faults(&inj);
+  BlockTree tree;
+  const Block a = test_block(1, 1, 0);
+  tree.add(a);
+  const Block b = make_block(a.hash, 2, 0, 2);
+  tree.add(b);
+  net.broadcast_chain(tree, b, 2);  // ships a then b to parties 1 and 2
+  net.inject(a, 1, 3);
+  Block tampered = b;
+  tampered.payload ^= 0xbad;
+  net.inject(tampered, 1, 3);
+  net.inject_all(b, 3);
+  net.crash_recipient(1);
+  EXPECT_EQ(inj.stats().watermarks_invalidated, 2u);
+  EXPECT_TRUE(drain(net, 1, 10).empty());
+  // Coverage was wiped with the queue: a re-sync ships again.
+  net.resync_ship(a, 1, 4);
+  EXPECT_EQ(drain(net, 1, 4), std::vector<Block>{a});
+  net.crash_recipient(1);
+  EXPECT_EQ(inj.stats().watermarks_invalidated, 3u);
+}
+
 TEST(HeteroNetwork, ObservedDeltaIsBoundedByTheLatencyCapOnAFullMesh) {
   // One direct hop per delivery: the recovered synchrony bound can never
   // exceed the law's cap.
@@ -357,6 +519,74 @@ TEST(FacadeEquivalence, GoldenTransportPinsStillHold) {
                                        kRandomizedProbePinSeed, kRandomizedProbePinDelta)
                 .digest,
             kRandomizedProbePinDigest);
+}
+
+// The composed adversarial-gossip shape: the randomized adversary (Delta
+// hold-backs, partial leaks, whole-chain re-publish) on random-k gossip with
+// capped geometric latency and a sampled Mixed fault plan. No other pin
+// composes all of these, so this one catches a transport change that moves
+// relay retries, re-deliveries after faulted drops, or re-sync ships. Draws
+// follow the transport probes (schedule, adversary seed, simulation seed); the
+// plan draws from its own stream.
+struct ComposedGossipOutcome {
+  std::uint64_t digest = 0;
+  std::size_t observed_delta = 0;
+  faults::FaultStats stats;
+};
+
+ComposedGossipOutcome composed_gossip_run(std::size_t parties, std::size_t horizon,
+                                          std::uint64_t seed) {
+  constexpr std::size_t kDelta = 2;
+  Rng rng(seed);
+  const LeaderSchedule schedule =
+      LeaderSchedule::from_symbol_law(kTransportProbeLaw, horizon, parties, rng);
+  RandomizedAdversary adversary(rng());
+  Rng plan_rng(seed ^ 0xfa017b1a5eedULL);
+  faults::FaultInjector injector(
+      faults::sample_fault_plan(faults::FaultProfile::Mixed, parties, horizon, kDelta, plan_rng),
+      parties, horizon);
+  NetConfig cfg;
+  cfg.topology = TopologyKind::RandomK;
+  cfg.k = 4;
+  cfg.latency = {LatencyKind::Geometric, 0, 3, 0.5};
+  Simulation sim(schedule, SimulationConfig{TieBreak::AdversarialOrder, rng()}, kDelta,
+                 &adversary, &injector, cfg);
+  sim.run();
+  ComposedGossipOutcome out;
+  out.observed_delta = sim.net_report().observed_delta;
+  out.stats = injector.stats();
+  std::uint64_t d = kFnvOffsetBasis;
+  for (const Block& b : sim.all_blocks()) d = fnv1a_accumulate(d, b.hash);
+  for (const BlockHash h : sim.public_tree().arrival_order()) d = fnv1a_accumulate(d, h);
+  for (const HonestNode& node : sim.nodes()) d = fnv1a_accumulate(d, node.best_head());
+  d = fnv1a_accumulate(d, sim.observed_slot_divergence());
+  d = fnv1a_accumulate(d, out.observed_delta);
+  const faults::FaultStats& s = out.stats;
+  for (const std::size_t counter :
+       {s.ships_dropped, s.ships_duplicated, s.ships_delayed, s.crashes, s.restarts,
+        s.partitions_healed, s.resync_blocks, s.watermarks_invalidated, s.leaderships_skipped})
+    d = fnv1a_accumulate(d, counter);
+  out.digest = d;
+  return out;
+}
+
+TEST(FacadeEquivalence, ComposedAdversarialGossipPinHolds) {
+  // Computed on the heap-of-Blocks transport, before the transport moved to
+  // interned ids; it must never be re-pinned for a refactor.
+  const ComposedGossipOutcome out = composed_gossip_run(24, 300, 31);
+  // The counters are folded into the digest too; pinned one by one so a
+  // failure names what moved.
+  EXPECT_EQ(out.observed_delta, 40u);
+  EXPECT_EQ(out.stats.ships_dropped, 1367u);
+  EXPECT_EQ(out.stats.ships_duplicated, 31u);
+  EXPECT_EQ(out.stats.ships_delayed, 133u);
+  EXPECT_EQ(out.stats.crashes, 10u);
+  EXPECT_EQ(out.stats.restarts, 10u);
+  EXPECT_EQ(out.stats.partitions_healed, 2u);
+  EXPECT_EQ(out.stats.resync_blocks, 261u);
+  EXPECT_EQ(out.stats.watermarks_invalidated, 1140u);
+  EXPECT_EQ(out.stats.leaderships_skipped, 0u);
+  EXPECT_EQ(out.digest, 0x3eeac0cbf90b8a91ULL);
 }
 
 // ---------------------------------------------------------------------------
