@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <tuple>
 
 #include "engine/seed_sequence.hpp"
@@ -362,6 +363,34 @@ TEST(EpochOracle, VerdictsAreThreadCountInvariant) {
   const auto serial = sweep(1);
   EXPECT_EQ(serial, sweep(2));
   EXPECT_EQ(serial, sweep(8));
+}
+
+// The shifted sweep's verdicts, pinned: the same 12 streams at root 777 the
+// thread-invariance test sweeps, serially. Any drift in the lottery, the
+// nonce fold, the simulation or the grade shows up here.
+TEST(EpochOracle, ShiftedSweepIsPinned) {
+  const oracle::EpochRunConfig config = shifted_cell();
+  std::string codes;
+  std::vector<std::int64_t> margins;
+  std::vector<std::uint64_t> nonces;
+  const engine::SeedSequence streams(777);
+  for (std::uint64_t i = 0; i < 12; ++i) {
+    Rng rng = streams.stream(i);
+    const oracle::EpochVerdict v = oracle::check_epoch_execution(config, rng);
+    codes.push_back(v.code());
+    margins.push_back(v.run.fork_margin);
+    std::uint64_t folded = 0;
+    for (const oracle::EpochCell& cell : v.cells) folded = fnv1a_accumulate(folded, cell.nonce);
+    nonces.push_back(folded);
+  }
+  EXPECT_EQ(codes, "aaaaaaa.aaVa");
+  EXPECT_EQ(margins, (std::vector<std::int64_t>{-16, -15, -20, -20, -15, -26, -5, -7, -17, -3,
+                                                -4, 7}));
+  EXPECT_EQ(nonces, (std::vector<std::uint64_t>{
+                        0x86100b422948edc2ULL, 0xd271df682aa224e5ULL, 0x74e5bab63ace858dULL,
+                        0x8ee4635944980cddULL, 0x007f82fc74a01a33ULL, 0x18ed4cd781c4485cULL,
+                        0x9d353bbe604ed08aULL, 0xdd3bd7feba755211ULL, 0x082521fc51afbf6fULL,
+                        0x1b22ff369d8e701fULL, 0x6af03b58b91fb873ULL, 0x82a9d29bc08dd2beULL}));
 }
 
 }  // namespace
