@@ -5,17 +5,21 @@
 // globally through the Definition-22 reduction, and per epoch against the
 // stake-induced law's exact Clopper-Pearson bands.
 //
-// Two gates, in report order:
+// Three gates, in report order:
 //
 //   1. epoch band — every cell's every execution must grade: zero ungraded
 //      epochs ('u' would mean the schedule never materialized a cell the
 //      horizon covers) and zero invariant breaches ('!'); simulated
 //      violations ('V') and quiet runs ('.'/'a') are outcomes, not failures;
-//   2. spotlight — one shifted-stake execution unrolled epoch by epoch:
+//   2. pin — the quick band's per-cell codes must match their golden string
+//      bit for bit: any drift in the lottery, the nonce fold, the simulation
+//      or the grade shows up here;
+//   3. spotlight — one shifted-stake execution unrolled epoch by epoch:
 //      realized symbol counts vs the induced law of each epoch's stake
 //      snapshot, every row inside its band.
 //
-// MH_EPOCH_QUICK shrinks the band's per-cell runs for CI smoke. The timed
+// MH_EPOCH_QUICK shrinks the band's per-cell runs to the pinned 4 for CI
+// smoke; the full 16-run band is not pinned (its streams differ). The timed
 // benchmark measures one graded epoch-managed execution end to end (lottery
 // materialization + simulation + projection + per-epoch banding).
 #include <benchmark/benchmark.h>
@@ -28,17 +32,20 @@
 
 #include "engine/seed_sequence.hpp"
 #include "engine/thread_pool.hpp"
-#include "oracle/epoch.hpp"
+#include "oracle/oracle.hpp"
 #include "support/table.hpp"
 
 namespace {
 
+using mh::Strategy;
 using mh::consensus::StakeShiftSpec;
-using mh::oracle::EpochRunConfig;
-using mh::oracle::EpochVerdict;
-using mh::oracle::Strategy;
+using mh::oracle::RunConfig;
+using mh::oracle::RunVerdict;
 
 constexpr std::uint64_t kBandSeed = 1904;
+constexpr std::size_t kQuickRuns = 4;
+/// The quick band's codes, cell by cell (kQuickRuns each).
+constexpr const char* kQuickBandPin = "aVaa" ".aa." "aaaa" "aaaa" "a.a." ".aaa" "aaaa";
 
 struct EpochBandCell {
   const char* name;
@@ -68,15 +75,16 @@ const EpochBandCell kBandCells[] = {
 };
 constexpr std::size_t kBandCellCount = sizeof(kBandCells) / sizeof(kBandCells[0]);
 
-EpochRunConfig band_run_config(const EpochBandCell& cell) {
-  EpochRunConfig config;
-  config.consensus.f = 0.5;
-  config.consensus.epoch.epoch_length = 32;
-  config.consensus.epoch.nonce_window = cell.nonce_window;
-  config.honest_stakes = cell.honest_stakes;
+RunConfig band_run_config(const EpochBandCell& cell) {
+  RunConfig config;
+  config.stake.emplace();
+  config.stake->consensus.f = 0.5;
+  config.stake->consensus.epoch.epoch_length = 32;
+  config.stake->consensus.epoch.nonce_window = cell.nonce_window;
+  config.stake->honest_stakes = cell.honest_stakes;
+  config.stake->adversarial_stake = cell.adversarial_stake;
+  config.stake->shifts = cell.shifts;
   config.honest_parties = 6;
-  config.adversarial_stake = cell.adversarial_stake;
-  config.shifts = cell.shifts;
   config.strategy = cell.strategy;
   config.delta = cell.delta;
   config.target_slot = 2;
@@ -93,13 +101,16 @@ struct BandOutcome {
   std::size_t breaches = 0;    // '!'
   std::size_t ungraded = 0;    // 'u' — an epoch cell the oracle never graded
   std::size_t epoch_cells = 0; // graded per-epoch cells across the band
+  bool pinned = false;         // quick band: the codes were compared to the pin
+  bool pin_held = false;
 };
 BandOutcome g_band;
 std::vector<std::string> g_cell_codes;  // per band cell, for the results JSON
 bool g_dirty = false;                   // set by the timed iterations too
 
 bool epoch_band_report() {
-  const std::size_t runs_per_cell = mh::bench::env_flag("MH_EPOCH_QUICK") ? 4 : 16;
+  const bool quick = mh::bench::env_flag("MH_EPOCH_QUICK");
+  const std::size_t runs_per_cell = quick ? kQuickRuns : 16;
   const std::size_t threads = mh::engine::threads_from_env();
   std::printf(
       "epoch oracle band: %zu cells x %zu executions (seed %llu)\n"
@@ -114,11 +125,11 @@ bool epoch_band_report() {
   const mh::engine::SeedSequence streams(kBandSeed);
   // One counter-based stream per (cell, run): bit-identical across MH_THREADS.
   mh::engine::for_each_index(g_band.runs, threads, [&](std::size_t i) {
-    const EpochRunConfig config = band_run_config(kBandCells[i / runs_per_cell]);
+    const RunConfig config = band_run_config(kBandCells[i / runs_per_cell]);
     mh::Rng rng = streams.stream(i);
-    const EpochVerdict v = mh::oracle::check_epoch_execution(config, rng);
+    const RunVerdict v = mh::oracle::check_execution(config, rng);
     codes[i] = v.code();
-    graded_cells[i] = v.cells.size();
+    graded_cells[i] = v.epochs.size();
   });
 
   mh::TextTable table({"cell", "strategy", "codes", "epochs"});
@@ -143,7 +154,7 @@ bool epoch_band_report() {
       }
     }
     g_band.epoch_cells += epochs;
-    table.add_row({kBandCells[c].name, mh::oracle::strategy_name(kBandCells[c].strategy),
+    table.add_row({kBandCells[c].name, mh::strategy_name(kBandCells[c].strategy),
                    cell_codes, std::to_string(epochs)});
   }
   std::printf("%s\n", table.render().c_str());
@@ -153,19 +164,25 @@ bool epoch_band_report() {
       g_band.runs, g_band.epoch_cells, g_band.violations, g_band.quiet, g_band.breaches,
       g_band.ungraded, clean ? "clean" : "DIRTY");
   g_band.clean = clean;
-  return clean;
+  if (quick) {
+    g_band.pinned = true;
+    g_band.pin_held = codes == kQuickBandPin;
+    std::printf("pin (quick band codes): %s\n  pinned %s -> %s\n\n", codes.c_str(),
+                kQuickBandPin, g_band.pin_held ? "held" : "DRIFT");
+  }
+  return clean && (!quick || g_band.pin_held);
 }
 
 bool spotlight_report() {
   // One shifted-stake execution, unrolled: each epoch's realized symbol
   // counts against the law its stake snapshot induces.
-  const EpochRunConfig config = band_run_config(kBandCells[3]);  // shift-adv
+  const RunConfig config = band_run_config(kBandCells[3]);  // shift-adv
   mh::Rng rng = mh::engine::SeedSequence(kBandSeed).stream(9001);
-  const EpochVerdict v = mh::oracle::check_epoch_execution(config, rng);
+  const RunVerdict v = mh::oracle::check_execution(config, rng);
   std::printf("spotlight: %s, one execution (code '%c')\n", kBandCells[3].name, v.code());
   mh::TextTable table(
       {"epoch", "nonce", "slots", "Bot/h/H/A", "induced (pBot,ph,pH,pA)", "band"});
-  for (const mh::oracle::EpochCell& cell : v.cells) {
+  for (const mh::oracle::EpochCell& cell : v.epochs) {
     char nonce_hex[24], counts[32], law[64];
     std::snprintf(nonce_hex, sizeof nonce_hex, "0x%012llx",
                   static_cast<unsigned long long>(cell.nonce));
@@ -177,19 +194,19 @@ bool spotlight_report() {
                    law, cell.law_within_band ? "within" : "OUTSIDE"});
   }
   std::printf("%s\n", table.render().c_str());
-  return v.clean();
+  return v.code() != '!' && v.code() != 'u';
 }
 
 // One graded epoch-managed execution end to end: lottery materialization,
 // simulation, Definition-22 projection, per-epoch banding.
 void BM_EpochExecution(benchmark::State& state) {
   const EpochBandCell& cell = kBandCells[static_cast<std::size_t>(state.range(0))];
-  const EpochRunConfig config = band_run_config(cell);
+  const RunConfig config = band_run_config(cell);
   const mh::engine::SeedSequence streams(kBandSeed);
   std::uint64_t i = 0;
   for (auto _ : state) {
     mh::Rng rng = streams.stream(i++);
-    const EpochVerdict v = mh::oracle::check_epoch_execution(config, rng);
+    const RunVerdict v = mh::oracle::check_execution(config, rng);
     if (v.code() == '!' || v.code() == 'u') {
       g_dirty = true;
       state.SkipWithError("epoch execution broke an invariant");
@@ -210,12 +227,13 @@ int main(int argc, char** argv) {
     for (std::size_t c = 0; c < kBandCellCount; ++c) {
       mh::obs::Json cell = mh::obs::Json::object();
       cell.set("name", kBandCells[c].name);
-      cell.set("strategy", mh::oracle::strategy_name(kBandCells[c].strategy));
+      cell.set("strategy", mh::strategy_name(kBandCells[c].strategy));
       cell.set("codes", c < g_cell_codes.size() ? g_cell_codes[c] : "");
       cells.push(std::move(cell));
     }
     mh::obs::Json results = mh::obs::Json::object();
     results.set("band_clean", g_band.clean);
+    if (g_band.pinned) results.set("pin_held", g_band.pin_held);
     results.set("band_runs", static_cast<std::uint64_t>(g_band.runs));
     results.set("epoch_cells_graded", static_cast<std::uint64_t>(g_band.epoch_cells));
     results.set("violations", static_cast<std::uint64_t>(g_band.violations));

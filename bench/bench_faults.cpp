@@ -79,7 +79,7 @@ bool chaos_band_report() {
                        "recov-fail", "maxObsD", "resync", "injected"});
   for (const auto& cell : result.cells)
     table.add_row({mh::faults::fault_profile_name(cell.fault_profile), tie_name(cell.tie_break),
-                   std::to_string(cell.delta), mh::oracle::strategy_name(cell.strategy),
+                   std::to_string(cell.delta), mh::strategy_name(cell.strategy),
                    laws[cell.law_index].name, std::to_string(cell.simulated_violations),
                    std::to_string(cell.degraded_runs), std::to_string(cell.degraded_unchecked),
                    std::to_string(cell.recovery_failures),
@@ -95,13 +95,13 @@ bool chaos_band_report() {
   // The minimal reproducer: (matrix seed, cell index, run index, plan)
   // pins the exact execution — rebuild the cell's RunConfig from its echoed
   // axes, draw stream `run` of SeedSequence(derive(cell)), deserialize the
-  // plan, and call check_execution.
+  // plan into its `faults`, and call check_execution.
   for (std::size_t i = 0; i < result.cells.size(); ++i) {
     const auto& cell = result.cells[i];
     if (cell.clean()) continue;
     std::printf("ORACLE VIOLATION in cell %zu (%s %s Delta=%zu %s %s):\n", i,
                 mh::faults::fault_profile_name(cell.fault_profile), tie_name(cell.tie_break),
-                cell.delta, mh::oracle::strategy_name(cell.strategy),
+                cell.delta, mh::strategy_name(cell.strategy),
                 laws[cell.law_index].name);
     std::printf("  matrix seed : %llu\n", static_cast<unsigned long long>(config.seed));
     std::printf("  cell index  : %zu\n", i);
@@ -205,7 +205,7 @@ void BM_FaultedExecution(benchmark::State& state) {
   mh::oracle::RunConfig rc;
   rc.law = mh::oracle::default_matrix_laws()[0].law;
   rc.tie_break = mh::TieBreak::AdversarialOrder;
-  rc.strategy = mh::oracle::Strategy::Randomized;
+  rc.strategy = mh::Strategy::Randomized;
   rc.delta = 2;
   rc.horizon = 160;
   rc.target_slot = 4;
@@ -214,10 +214,10 @@ void BM_FaultedExecution(benchmark::State& state) {
   std::uint64_t i = 0;
   for (auto _ : state) {
     mh::Rng plan_rng = streams.stream(1'000'000 + i);
-    const mh::faults::FaultPlan plan = mh::faults::sample_fault_plan(
-        profile, rc.honest_parties, rc.horizon, rc.delta, plan_rng);
+    rc.faults = mh::faults::sample_fault_plan(profile, rc.honest_parties, rc.horizon, rc.delta,
+                                              plan_rng);
     mh::Rng rng = streams.stream(i++);
-    const mh::oracle::RunVerdict v = mh::oracle::check_execution(rc, rng, &plan);
+    const mh::oracle::RunVerdict v = mh::oracle::check_execution(rc, rng);
     if (v.code() == '!') {
       g_band_dirty = true;
       state.SkipWithError("faulted execution broke an invariant");

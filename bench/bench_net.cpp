@@ -116,26 +116,26 @@ struct BandCell {
   TopologyKind topology;
   LatencyLaw latency;
   std::size_t bandwidth;
-  mh::oracle::Strategy strategy;
+  mh::Strategy strategy;
 };
 
 const BandCell kBandCells[] = {
     {"mesh/uni2/balance", TopologyKind::FullMesh, {LatencyKind::Uniform, 0, 2, 0.5}, 0,
-     mh::oracle::Strategy::Balance},
+     mh::Strategy::Balance},
     {"ring/deg0/balance", TopologyKind::Ring, {LatencyKind::Degenerate, 0, 0, 0.5}, 0,
-     mh::oracle::Strategy::Balance},
+     mh::Strategy::Balance},
     {"ring/uni2/random", TopologyKind::Ring, {LatencyKind::Uniform, 0, 2, 0.5}, 0,
-     mh::oracle::Strategy::Randomized},
+     mh::Strategy::Randomized},
     {"rand2/geo.4c3/balance", TopologyKind::RandomK, {LatencyKind::Geometric, 0, 3, 0.4}, 0,
-     mh::oracle::Strategy::Balance},
+     mh::Strategy::Balance},
     {"rand2/uni2/private", TopologyKind::RandomK, {LatencyKind::Uniform, 0, 2, 0.5}, 0,
-     mh::oracle::Strategy::PrivateChain},
+     mh::Strategy::PrivateChain},
     {"2cluster/uni2/balance", TopologyKind::TwoClusterBridge, {LatencyKind::Uniform, 0, 2, 0.5},
-     0, mh::oracle::Strategy::Balance},
+     0, mh::Strategy::Balance},
     {"2cluster/deg1/bw2/random", TopologyKind::TwoClusterBridge,
-     {LatencyKind::Degenerate, 1, 0, 0.5}, 2, mh::oracle::Strategy::Randomized},
+     {LatencyKind::Degenerate, 1, 0, 0.5}, 2, mh::Strategy::Randomized},
     {"mesh/geo.5c2/bw1/balance", TopologyKind::FullMesh, {LatencyKind::Geometric, 0, 2, 0.5},
-     1, mh::oracle::Strategy::Balance},
+     1, mh::Strategy::Balance},
 };
 constexpr std::size_t kBandCellCount = sizeof(kBandCells) / sizeof(kBandCells[0]);
 constexpr std::uint64_t kBandSeed = 1808;
@@ -266,7 +266,7 @@ bool hetero_band_report() {
       }
     }
     g_band.max_observed_delta = std::max(g_band.max_observed_delta, max_obs);
-    table.add_row({kBandCells[c].name, mh::oracle::strategy_name(kBandCells[c].strategy),
+    table.add_row({kBandCells[c].name, mh::strategy_name(kBandCells[c].strategy),
                    cell_codes, std::to_string(max_obs)});
   }
   std::printf("%s\n", table.render().c_str());

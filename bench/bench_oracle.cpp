@@ -58,7 +58,7 @@ bool print_matrix_report() {
     std::vector<std::string> row;
     row.push_back(tie_name(cell.tie_break));
     row.push_back(std::to_string(cell.delta));
-    row.push_back(mh::oracle::strategy_name(cell.strategy));
+    row.push_back(mh::strategy_name(cell.strategy));
     row.push_back(laws[cell.law_index].name);
     row.push_back(std::to_string(cell.simulated_violations));
     row.push_back(std::to_string(cell.analytic_allowed));
@@ -109,7 +109,7 @@ void BM_OracleExecution(benchmark::State& state) {
   mh::oracle::RunConfig rc;
   rc.law = mh::oracle::default_matrix_laws()[0].law;
   rc.delta = static_cast<std::size_t>(state.range(0));
-  rc.strategy = mh::oracle::Strategy::Randomized;
+  rc.strategy = mh::Strategy::Randomized;
   rc.horizon = 160;
   rc.target_slot = 4;
   rc.k = 10;

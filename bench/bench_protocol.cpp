@@ -34,8 +34,7 @@ void attack_report() {
   };
   for (const LawCase& lc : laws) {
     const long double exact = mh::settlement_violation_probability(lc.law, 20);
-    for (const mh::AttackKind attack :
-         {mh::AttackKind::Balance, mh::AttackKind::PrivateChain}) {
+    for (const mh::Strategy attack : {mh::Strategy::Balance, mh::Strategy::PrivateChain}) {
       for (const mh::TieBreak rule :
            {mh::TieBreak::AdversarialOrder, mh::TieBreak::ConsistentHash}) {
         mh::ProtocolExperimentConfig config;
@@ -48,7 +47,7 @@ void attack_report() {
         const mh::ProtocolExperimentResult result =
             mh::run_protocol_experiment(lc.law, attack, 1, 20, config);
         table.add_row(
-            {lc.name, attack == mh::AttackKind::Balance ? "balance" : "private-chain",
+            {lc.name, mh::strategy_name(attack),
              rule == mh::TieBreak::AdversarialOrder ? "A0 (adv)" : "A0' (consistent)",
              "[" + mh::fixed(result.settlement_violations.lo, 3) + ", " +
                  mh::fixed(result.settlement_violations.hi, 3) + "]",

@@ -34,6 +34,8 @@ struct SymbolLaw {
   /// The hot Monte-Carlo loops call this once per sample on a per-shard
   /// buffer.
   void sample_into(CharString& out, std::size_t length, Rng& rng) const;
+
+  friend bool operator==(const SymbolLaw&, const SymbolLaw&) = default;
 };
 
 /// Definition 7: the (epsilon, ph)-Bernoulli condition.

@@ -43,6 +43,8 @@ struct TetraLaw {
   void validate() const;
   [[nodiscard]] TetraSymbol sample(Rng& rng) const;
   [[nodiscard]] TetraString sample_string(std::size_t length, Rng& rng) const;
+
+  friend bool operator==(const TetraLaw&, const TetraLaw&) = default;
 };
 
 /// The Theorem-7 parameterization: active-slot coefficient f, adversarial

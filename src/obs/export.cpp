@@ -268,46 +268,6 @@ void JsonExporter::write_file(const std::string& path, const RunMeta& meta,
     throw std::runtime_error("obs::JsonExporter: short write to " + path);
 }
 
-std::string CsvExporter::render(const Snapshot& snapshot) {
-  Snapshot sorted = snapshot;
-  const auto by_name = [](const auto& a, const auto& b) { return a.name < b.name; };
-  std::sort(sorted.counters.begin(), sorted.counters.end(), by_name);
-  std::sort(sorted.gauges.begin(), sorted.gauges.end(), by_name);
-  std::sort(sorted.histograms.begin(), sorted.histograms.end(), by_name);
-
-  std::string out = "name,kind,field,value\n";
-  char buf[160];
-  for (const CounterSnapshot& c : sorted.counters) {
-    std::snprintf(buf, sizeof(buf), "%s,counter,value,%" PRIu64 "\n", c.name.c_str(), c.value);
-    out += buf;
-  }
-  for (const GaugeSnapshot& g : sorted.gauges) {
-    std::snprintf(buf, sizeof(buf), "%s,gauge,value,%" PRId64 "\n", g.name.c_str(),
-                  std::int64_t{g.value});
-    out += buf;
-  }
-  for (const HistogramSnapshot& h : sorted.histograms) {
-    const char* name = h.name.c_str();
-    std::snprintf(buf, sizeof(buf), "%s,histogram,count,%" PRIu64 "\n", name, h.count);
-    out += buf;
-    std::snprintf(buf, sizeof(buf), "%s,histogram,sum,%" PRIu64 "\n", name, h.sum);
-    out += buf;
-    std::snprintf(buf, sizeof(buf), "%s,histogram,min,%" PRIu64 "\n", name, h.min);
-    out += buf;
-    std::snprintf(buf, sizeof(buf), "%s,histogram,max,%" PRIu64 "\n", name, h.max);
-    out += buf;
-    std::snprintf(buf, sizeof(buf), "%s,histogram,mean,%.6g\n", name, h.mean());
-    out += buf;
-    for (std::size_t b = 0; b < Histogram::kBuckets; ++b)
-      if (h.buckets[b] != 0) {
-        std::snprintf(buf, sizeof(buf), "%s,histogram,bucket_%" PRIu64 ",%" PRIu64 "\n", name,
-                      Histogram::bucket_lo(b), h.buckets[b]);
-        out += buf;
-      }
-  }
-  return out;
-}
-
 std::string metrics_table(const Snapshot& snapshot) {
   struct Row {
     std::string name, kind, count, value, min, max, mean;

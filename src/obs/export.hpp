@@ -13,9 +13,8 @@
 //
 // Metric arrays are sorted by name so artifacts diff cleanly run to run;
 // histogram buckets are emitted sparsely ({"lo": 2^(i-1), "count": n} for
-// non-empty buckets only). CsvExporter flattens the same snapshot to
-// name,kind,field,value rows; metrics_table renders it with support/table
-// for the --list-metrics / MH_OBS_DUMP paths.
+// non-empty buckets only). metrics_table renders the same snapshot with
+// support/table for the --list-metrics / MH_OBS_DUMP paths.
 #pragma once
 
 #include <cstdint>
@@ -92,13 +91,6 @@ class JsonExporter {
   /// Render + write; throws std::runtime_error when the file cannot be written.
   static void write_file(const std::string& path, const RunMeta& meta,
                          const Snapshot& snapshot, Json results);
-};
-
-class CsvExporter {
- public:
-  /// "name,kind,field,value" rows: counters (value), gauges (value),
-  /// histograms (count/sum/min/max/mean + non-empty bucket_<lo> rows).
-  static std::string render(const Snapshot& snapshot);
 };
 
 /// The snapshot as an aligned text table (support/table), sorted by name —

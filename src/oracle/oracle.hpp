@@ -1,6 +1,8 @@
 // The differential consistency oracle: run one protocol execution and one
 // analytic replay of the same leader schedule, and check the paper's
-// domination invariants between them.
+// domination invariants between them. check_execution is the only entry
+// point and RunConfig the only description of a run: its leader schedule,
+// network shape, fault plan and stake lottery compose freely.
 //
 // Per execution the oracle asserts, in order of strength:
 //
@@ -19,10 +21,25 @@
 // single counterexample is a genuine bug in either the simulator or the
 // analytic stack - which is precisely what a differential oracle is for.
 //
-// Faulted executions (check_execution with a FaultPlan) are projected with
-// the execution's OBSERVED Delta — the max realized honest first-delivery
-// delay outside crash shadows — against the EFFECTIVE schedule (down leaders
-// forge nothing, so their leaderships leave the characteristic string):
+// The schedule. Without `stake` it is pre-drawn from `law`. With `stake` it
+// is the epoch-managed lottery (stake registry, epoch nonces folded from the
+// chain, per-slot VRF draws, stake shifts at epoch boundaries) and the
+// oracle grades the lottery's realized draws. Each epoch is then also graded
+// on its own: the epoch's stake snapshot induces an i.i.d. TetraLaw
+// (consensus::induced_law), the epoch's realized symbols must sit inside
+// exact Clopper-Pearson bands around it, and the law is pushed through
+// reduced_law (Proposition 4) so each cell carries the Delta-reduced law the
+// analytic stack would assign it. An epoch the horizon covers but the run
+// never materialized is an oracle gap, not a pass (code 'u').
+//
+// The audit. A run with a FaultPlan or a non-degenerate NetConfig is
+// projected at its OBSERVED Delta against the EFFECTIVE schedule (down
+// leaders forge nothing, so their leaderships leave the characteristic
+// string). Faults alone take the observed Delta from the FaultReport: the max
+// realized honest first-delivery delay outside crash shadows. A
+// heterogeneous net takes it from the NetReport, which folds in the fault
+// layer's delays and inflates it for honest blocks still undelivered at the
+// end, so the projection window stays open. Then:
 //
 //   * observed Delta <= configured Delta: the run is a legitimate
 //     Delta-execution and every invariant above must hold unchanged;
@@ -30,34 +47,37 @@
 //     silent pass) and re-projected at the observed Delta — the reduction is
 //     defined for every finite Delta, so graceful degradation is itself an
 //     invariant (code 'd' when it holds, '!' when it does not);
-//   * some honest block never delivered at all (unhealed partition): no
-//     finite Delta describes the run; it is flagged unchecked (code 'u').
-//
-// Heterogeneous executions (a non-degenerate RunConfig.net: gossip topology,
-// per-link latency, bandwidth caps) grade through the same machinery: the
-// Simulation's NetReport supplies the observed Delta — inflated for honest
-// blocks still undelivered when the run ends, so the projection window stays
-// open — and a run beyond the configured bound re-projects at that Delta
-// (code 'd'). The topology set is strongly connected by construction, so a
-// heterogeneous run is never unbounded ('u'): lateness, not partition.
+//   * some honest block never delivered at all (an unhealed partition on the
+//     lockstep transport): no finite Delta describes the run; it is flagged
+//     unchecked (code 'u'). Every heterogeneous topology is strongly
+//     connected, so a heterogeneous run is never unbounded: lateness, not
+//     partition.
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <optional>
+#include <vector>
 
 #include "oracle/characteristic.hpp"
 #include "protocol/adversary.hpp"
+#include "protocol/consensus/schedule.hpp"
 #include "protocol/faults/plan.hpp"
 #include "protocol/net/config.hpp"
 
 namespace mh::oracle {
 
-/// The simulated strategies the oracle drives against the analytic side.
-enum class Strategy : std::uint8_t { PrivateChain = 0, Balance = 1, Randomized = 2 };
+/// An epoch-managed stake lottery. Empty `honest_stakes` means uniform over
+/// RunConfig::honest_parties; otherwise the vector IS the profile (its size
+/// wins).
+struct StakeSpec {
+  consensus::ConsensusConfig consensus{};
+  std::vector<double> honest_stakes{};
+  double adversarial_stake = 0.25;
+  std::vector<consensus::StakeShiftSpec> shifts{};
+};
 
-const char* strategy_name(Strategy s) noexcept;
-
-/// One scenario-cell execution recipe; `law` draws the leader schedule.
+/// One execution recipe. `law` draws the leader schedule unless `stake`
+/// replaces it with the epoch lottery; `faults` perturbs the run.
 struct RunConfig {
   TetraLaw law;
   TieBreak tie_break = TieBreak::AdversarialOrder;
@@ -68,6 +88,21 @@ struct RunConfig {
   std::size_t horizon = 48;
   std::size_t honest_parties = 6;
   net::NetConfig net{};  ///< network shape; default = degenerate lockstep
+  std::optional<StakeSpec> stake{};
+  std::optional<faults::FaultPlan> faults{};
+};
+
+/// One epoch's grading record (stake-driven runs only).
+struct EpochCell {
+  std::size_t epoch = 0;
+  std::uint64_t nonce = 0;
+  std::size_t slots = 0;      ///< slots of this epoch inside the horizon
+  std::size_t counts[4]{};    ///< realized symbols, indexed Bot, h, H, A
+  TetraLaw induced{};         ///< law induced by the epoch's stake snapshot
+  SymbolLaw reduced{};        ///< Proposition-4 image of `induced` at Delta
+  bool law_within_band = false;
+
+  friend bool operator==(const EpochCell&, const EpochCell&) = default;
 };
 
 /// The oracle's verdict on a single execution. All fields are pure functions
@@ -91,6 +126,11 @@ struct RunVerdict {
   std::uint32_t resync_blocks = 0;    ///< blocks re-shipped by heal/restart re-sync
   std::uint32_t faults_injected = 0;  ///< drops + dups + delays + crash/restart events
 
+  // Epoch grade (empty / vacuously true without a StakeSpec).
+  std::vector<EpochCell> epochs{};  ///< one per materialized epoch
+  bool all_graded = true;           ///< every epoch covering the horizon graded
+  bool laws_within_band = true;     ///< every epoch's frequencies inside its band
+
   /// The domination invariant: no violation on a margin-forbidden string.
   /// For a degraded (recovery-checked) run the fields hold the observed-Delta
   /// projection, so this doubles as the graceful-degradation invariant.
@@ -100,35 +140,19 @@ struct RunVerdict {
 
   /// Compact encoding for golden pinning: '.' quiet, 'a' margin allows but no
   /// simulated violation, 'V' simulated violation (analytic side agrees),
-  /// '!' any invariant breach; faulted out-of-bound runs report 'd' (degraded
+  /// '!' any invariant breach; out-of-bound runs report 'd' (degraded
   /// gracefully: observed-Delta projection holds) or 'u' (unbounded observed
-  /// Delta, projection undefined) — never a silent pass.
+  /// Delta, projection undefined) — never a silent pass. A stake-driven run
+  /// reports 'u' for an ungraded epoch and '!' for an epoch outside its band
+  /// before anything else.
   [[nodiscard]] char code() const noexcept;
 
   friend bool operator==(const RunVerdict&, const RunVerdict&) = default;
 };
 
-/// Instantiates the simulated strategy for a cell (seed feeds Randomized).
-std::unique_ptr<Adversary> make_strategy(Strategy strategy, const RunConfig& config,
-                                         std::uint64_t seed);
-
-/// Runs one seeded execution of `config` and both sides of the oracle. With a
-/// FaultPlan the execution is perturbed and audited as documented above; a
-/// null plan leaves every code path (and every rng draw) exactly as before.
-RunVerdict check_execution(const RunConfig& config, Rng& rng,
-                           const faults::FaultPlan* plan = nullptr);
-
-namespace detail {
-/// The analytic tail shared by every oracle entry point: project `schedule`
-/// at `delta` against the target decomposition, run the Theorem-5 recurrence,
-/// relabel the execution's block set through the reduction bijection, and
-/// fill the verdict's analytic_allows / string_margin / fork_valid /
-/// fork_margin / margin_dominated fields. Factored so the epoch-driven oracle
-/// (oracle/epoch) grades its realized schedules through EXACTLY the code path
-/// the pre-drawn oracle uses — bit-identical, not merely equivalent.
-void grade_projection(const LeaderSchedule& schedule, std::size_t delta,
-                      std::size_t target_slot, std::size_t k,
-                      const std::vector<Block>& blocks, RunVerdict& verdict);
-}  // namespace detail
+/// Runs one seeded execution of `config` and grades it as documented above.
+/// Draw order: the schedule (one seed for the lottery, the law's draws
+/// otherwise), the strategy seed, the simulation seed.
+RunVerdict check_execution(const RunConfig& config, Rng& rng);
 
 }  // namespace mh::oracle

@@ -45,13 +45,12 @@ CellVerdict run_cell(const MatrixConfig& config, const NamedLaw& named, std::siz
   for (std::size_t r = 0; r < config.runs; ++r) {
     Rng rng = streams.stream(r);
     MH_OBS_COUNT("oracle.executions", 1);
-    faults::FaultPlan plan;
     if (faulted_cell) {
       Rng plan_rng = plan_streams.stream(r);
-      plan = faults::sample_fault_plan(profile, rc.honest_parties, rc.horizon, rc.delta,
-                                       plan_rng);
+      rc.faults = faults::sample_fault_plan(profile, rc.honest_parties, rc.horizon, rc.delta,
+                                            plan_rng);
     }
-    const RunVerdict v = check_execution(rc, rng, faulted_cell ? &plan : nullptr);
+    const RunVerdict v = check_execution(rc, rng);
     if (r == 0) out.first_run = v.code();
     if (v.simulated_violation) ++out.simulated_violations;
     if (v.analytic_allows) ++out.analytic_allowed;
@@ -81,7 +80,7 @@ CellVerdict run_cell(const MatrixConfig& config, const NamedLaw& named, std::siz
       // The minimal reproducer: (matrix seed, cell index, run index, plan)
       // rebuilds this exact execution anywhere.
       out.first_failure_run = r;
-      out.first_failure_plan = plan.serialize();
+      out.first_failure_plan = rc.faults->serialize();
     }
   }
 

@@ -6,6 +6,25 @@
 
 namespace mh {
 
+const char* strategy_name(Strategy s) noexcept {
+  switch (s) {
+    case Strategy::PrivateChain: return "private-chain";
+    case Strategy::Balance: return "balance";
+    case Strategy::Randomized: return "randomized";
+  }
+  return "?";
+}
+
+std::unique_ptr<Adversary> make_strategy(Strategy strategy, std::size_t target_slot,
+                                         std::size_t k, std::uint64_t seed) {
+  switch (strategy) {
+    case Strategy::PrivateChain: return std::make_unique<PrivateChainAdversary>(target_slot, k);
+    case Strategy::Balance: return std::make_unique<BalanceAttacker>();
+    case Strategy::Randomized: return std::make_unique<RandomizedAdversary>(seed);
+  }
+  return nullptr;
+}
+
 PrivateChainAdversary::PrivateChainAdversary(std::size_t target_slot,
                                              std::size_t confirmation_depth)
     : target_slot_(target_slot), confirmation_depth_(confirmation_depth) {

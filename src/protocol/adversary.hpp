@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <unordered_map>
 
 #include "protocol/simulation.hpp"
@@ -99,5 +100,15 @@ class RandomizedAdversary : public Adversary {
   std::size_t minted_ = 0;
   std::uint64_t payload_ = 0xf022edULL;
 };
+
+/// The strategies the oracle and the protocol experiments run.
+enum class Strategy : std::uint8_t { PrivateChain = 0, Balance = 1, Randomized = 2 };
+
+const char* strategy_name(Strategy s) noexcept;
+
+/// Instantiates `strategy` against the settlement of `target_slot` at depth
+/// k; `seed` feeds only the randomized strategy.
+std::unique_ptr<Adversary> make_strategy(Strategy strategy, std::size_t target_slot,
+                                         std::size_t k, std::uint64_t seed);
 
 }  // namespace mh

@@ -159,6 +159,16 @@ void Network::hetero_send(PartyId sender, PartyId recipient, BlockId id, std::si
   cover(recipient, id);
 }
 
+std::size_t Network::checked_delay(const std::vector<std::size_t>& delays, PartyId r,
+                                   std::size_t sent_slot) const {
+  const std::size_t delay = delays.empty() ? 0 : delays[r];
+  MH_REQUIRE_MSG(delay <= delta_, "adversary delay " + std::to_string(delay) + " for party " +
+                                      std::to_string(r) + " at slot " +
+                                      std::to_string(sent_slot) + " exceeds Delta = " +
+                                      std::to_string(delta_));
+  return delay;
+}
+
 void Network::hetero_broadcast_chain(const BlockTree& tree, const Block& block,
                                      std::size_t sent_slot,
                                      const std::vector<std::size_t>& per_recipient_delay) {
@@ -173,11 +183,7 @@ void Network::hetero_broadcast_chain(const BlockTree& tree, const Block& block,
   const bool faulted = fault_window(sent_slot);
   MH_OBS_ONLY(std::size_t shipped = 0;)
   topology_.for_each_neighbor(sender, [&](PartyId r) {
-    const std::size_t delay = per_recipient_delay.empty() ? 0 : per_recipient_delay[r];
-    MH_REQUIRE_MSG(delay <= delta_, "adversary delay " + std::to_string(delay) +
-                                        " for party " + std::to_string(r) + " at slot " +
-                                        std::to_string(sent_slot) +
-                                        " exceeds Delta = " + std::to_string(delta_));
+    const std::size_t delay = checked_delay(per_recipient_delay, r, sent_slot);
     faults::LinkVerdict link{};
     // A lost ship schedules nothing: the recipient's coverage keeps the gap,
     // so the next broadcast or relay on this chain re-walks past it.
@@ -215,15 +221,20 @@ void Network::hetero_relay(PartyId relayer, BlockId id, std::size_t slot, bool f
 
 // --- broadcast entry points ------------------------------------------------
 
-void Network::broadcast(const Block& block, std::size_t sent_slot,
-                        const std::vector<std::size_t>& per_recipient_delay) {
-  MH_REQUIRE_MSG(per_recipient_delay.empty() || per_recipient_delay.size() == parties_,
-                 "delay vector covers " + std::to_string(per_recipient_delay.size()) +
+void Network::require_broadcast(const Block& block, std::size_t sent_slot,
+                                const std::vector<std::size_t>& delays) const {
+  MH_REQUIRE_MSG(delays.empty() || delays.size() == parties_,
+                 "delay vector covers " + std::to_string(delays.size()) +
                      " parties, network has " + std::to_string(parties_));
   MH_REQUIRE_MSG(block.slot <= sent_slot,
                  "non-monotone broadcast: party " + std::to_string(block.issuer) +
                      "'s slot-" + std::to_string(block.slot) +
                      " block cannot be sent at slot " + std::to_string(sent_slot));
+}
+
+void Network::broadcast(const Block& block, std::size_t sent_slot,
+                        const std::vector<std::size_t>& per_recipient_delay) {
+  require_broadcast(block, sent_slot, per_recipient_delay);
   const BlockId id = interned_.intern(block);
   if (hetero_) {
     MH_OBS_COUNT("protocol.net.blocks_shipped", 1);
@@ -233,11 +244,7 @@ void Network::broadcast(const Block& block, std::size_t sent_slot,
       // and bandwidth never bind the coalition); only the configured
       // hold-back and a down endpoint apply.
       for (PartyId r = 0; r < parties_; ++r) {
-        const std::size_t delay = per_recipient_delay.empty() ? 0 : per_recipient_delay[r];
-        MH_REQUIRE_MSG(delay <= delta_, "adversary delay " + std::to_string(delay) +
-                                            " for party " + std::to_string(r) +
-                                            " at slot " + std::to_string(sent_slot) +
-                                            " exceeds Delta = " + std::to_string(delta_));
+        const std::size_t delay = checked_delay(per_recipient_delay, r, sent_slot);
         if (faulted && faults_->is_down(r, sent_slot)) continue;
         push(r, id, sent_slot + 1 + delay);
         cover(r, id);
@@ -246,11 +253,7 @@ void Network::broadcast(const Block& block, std::size_t sent_slot,
     }
     cover(block.issuer, id);
     topology_.for_each_neighbor(block.issuer, [&](PartyId r) {
-      const std::size_t delay = per_recipient_delay.empty() ? 0 : per_recipient_delay[r];
-      MH_REQUIRE_MSG(delay <= delta_, "adversary delay " + std::to_string(delay) +
-                                          " for party " + std::to_string(r) + " at slot " +
-                                          std::to_string(sent_slot) +
-                                          " exceeds Delta = " + std::to_string(delta_));
+      const std::size_t delay = checked_delay(per_recipient_delay, r, sent_slot);
       faults::LinkVerdict link{};
       if (faulted && !faulted_link(block.issuer, r, sent_slot, &link)) return;
       hetero_send(block.issuer, r, id, sent_slot, delay, faulted ? link.extra_delay : 0,
@@ -270,11 +273,7 @@ void Network::broadcast(const Block& block, std::size_t sent_slot,
   }
   std::size_t due_max = sent_slot + 1;
   for (PartyId r = 0; r < parties_; ++r) {
-    const std::size_t delay = per_recipient_delay.empty() ? 0 : per_recipient_delay[r];
-    MH_REQUIRE_MSG(delay <= delta_, "adversary delay " + std::to_string(delay) +
-                                        " for party " + std::to_string(r) + " at slot " +
-                                        std::to_string(sent_slot) +
-                                        " exceeds Delta = " + std::to_string(delta_));
+    const std::size_t delay = checked_delay(per_recipient_delay, r, sent_slot);
     std::size_t due = sent_slot + 1 + delay;
     faults::LinkVerdict link;
     if (faulted) {
@@ -291,13 +290,7 @@ void Network::broadcast(const Block& block, std::size_t sent_slot,
 
 void Network::broadcast_chain(const BlockTree& tree, const Block& block, std::size_t sent_slot,
                               const std::vector<std::size_t>& per_recipient_delay) {
-  MH_REQUIRE_MSG(per_recipient_delay.empty() || per_recipient_delay.size() == parties_,
-                 "delay vector covers " + std::to_string(per_recipient_delay.size()) +
-                     " parties, network has " + std::to_string(parties_));
-  MH_REQUIRE_MSG(block.slot <= sent_slot,
-                 "non-monotone broadcast: party " + std::to_string(block.issuer) +
-                     "'s slot-" + std::to_string(block.slot) +
-                     " block cannot be sent at slot " + std::to_string(sent_slot));
+  require_broadcast(block, sent_slot, per_recipient_delay);
   if (hetero_) {
     hetero_broadcast_chain(tree, block, sent_slot, per_recipient_delay);
     return;
@@ -313,10 +306,7 @@ void Network::broadcast_chain(const BlockTree& tree, const Block& block, std::si
        std::all_of(per_recipient_delay.begin(), per_recipient_delay.end(),
                    [&](std::size_t d) { return d == per_recipient_delay.front(); }));
   if (uniform) {
-    const std::size_t delay = per_recipient_delay.empty() ? 0 : per_recipient_delay.front();
-    MH_REQUIRE_MSG(delay <= delta_, "adversary delay " + std::to_string(delay) +
-                                        " at slot " + std::to_string(sent_slot) +
-                                        " exceeds Delta = " + std::to_string(delta_));
+    const std::size_t delay = checked_delay(per_recipient_delay, 0, sent_slot);
     // One watermark walk covers every recipient.
     const std::size_t due = sent_slot + 1 + delay;
     lift_scratch_.clear();
@@ -341,11 +331,7 @@ void Network::broadcast_chain(const BlockTree& tree, const Block& block, std::si
   std::size_t due_max = sent_slot + 1;
   MH_OBS_ONLY(std::size_t shipped = 0;)
   for (PartyId r = 0; r < parties_; ++r) {
-    const std::size_t delay = per_recipient_delay.empty() ? 0 : per_recipient_delay[r];
-    MH_REQUIRE_MSG(delay <= delta_, "adversary delay " + std::to_string(delay) +
-                                        " for party " + std::to_string(r) + " at slot " +
-                                        std::to_string(sent_slot) +
-                                        " exceeds Delta = " + std::to_string(delta_));
+    const std::size_t delay = checked_delay(per_recipient_delay, r, sent_slot);
     std::size_t due = sent_slot + 1 + delay;
     faults::LinkVerdict link;
     if (faulted) {

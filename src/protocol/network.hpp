@@ -178,6 +178,14 @@ class Network {
     }
   };
 
+  /// A broadcast's preconditions: the delay vector covers every party (or is
+  /// empty) and the block is not sent before its own slot.
+  void require_broadcast(const Block& block, std::size_t sent_slot,
+                         const std::vector<std::size_t>& delays) const;
+  /// The adversary's hold-back for recipient r (0 for an empty vector),
+  /// checked against Delta.
+  [[nodiscard]] std::size_t checked_delay(const std::vector<std::size_t>& delays, PartyId r,
+                                          std::size_t sent_slot) const;
   /// Is `hash` (with full ancestry) scheduled for `recipient` by `due`?
   [[nodiscard]] bool covered(PartyId recipient, BlockHash hash, std::size_t due) const;
   /// Is `hash` (with full ancestry) scheduled for EVERY recipient by `due`?

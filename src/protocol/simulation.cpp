@@ -343,6 +343,14 @@ bool Simulation::settlement_watch_violated(std::size_t s) const {
   return false;
 }
 
+bool Simulation::play_settlement_game(std::size_t s, std::size_t k) {
+  watch_settlement(s, k);
+  run_until(s + k);
+  const bool tied = observed_settlement_violation(s);
+  run();
+  return tied || settlement_watch_violated(s);
+}
+
 BlockHash Simulation::prefix_at(BlockHash head, std::size_t s) const {
   const auto block = global_tree_.block_at_slot(head, s);
   return block ? *block : genesis_block().hash;

@@ -138,6 +138,11 @@ class Simulation {
   void watch_settlement(std::size_t s, std::size_t k);
   [[nodiscard]] bool settlement_watch_violated(std::size_t s) const;
 
+  /// The settlement game on slot s at depth k, played to the horizon: watch
+  /// s, run to the close of s + k, note a standing public tie there, then run
+  /// on. True when the tie or the watch saw a violation.
+  bool play_settlement_game(std::size_t s, std::size_t k);
+
   /// Largest depth-k common-prefix breach among honest chains: do two adopted
   /// chains differ in a block at slot <= l(head) - k (k-CP^slot across nodes)?
   [[nodiscard]] bool observed_cp_slot_violation(std::size_t k) const;

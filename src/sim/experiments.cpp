@@ -9,16 +9,6 @@ namespace mh {
 
 namespace {
 
-std::unique_ptr<Adversary> make_adversary(AttackKind kind, std::size_t target_slot,
-                                          std::size_t k) {
-  switch (kind) {
-    case AttackKind::None: return nullptr;
-    case AttackKind::PrivateChain: return std::make_unique<PrivateChainAdversary>(target_slot, k);
-    case AttackKind::Balance: return std::make_unique<BalanceAttacker>();
-  }
-  return nullptr;
-}
-
 /// Per-shard tally of the experiment outcomes; merged in chunk order.
 struct RunTally {
   std::size_t settlement_hits = 0;
@@ -35,7 +25,7 @@ struct RunTally {
 };
 
 template <typename ScheduleFactory>
-ProtocolExperimentResult run_impl(ScheduleFactory&& make_schedule, AttackKind attack,
+ProtocolExperimentResult run_impl(ScheduleFactory&& make_schedule, Strategy attack,
                                   std::size_t target_slot, std::size_t k,
                                   const ProtocolExperimentConfig& config) {
   MH_REQUIRE(target_slot + k <= config.horizon);
@@ -47,17 +37,15 @@ ProtocolExperimentResult run_impl(ScheduleFactory&& make_schedule, AttackKind at
   const RunTally tally = engine::run_sharded<RunTally>(
       config.runs, eopt, [&](std::uint64_t /*run*/, Rng& rng, RunTally& partial) {
         const LeaderSchedule schedule = make_schedule(rng);
-        const std::unique_ptr<Adversary> adversary = make_adversary(attack, target_slot, k);
+        // Only the randomized strategy draws a seed, so the scripted attacks
+        // keep their (schedule, simulation) draw order.
+        const std::uint64_t adversary_seed = attack == Strategy::Randomized ? rng() : 0;
+        const std::unique_ptr<Adversary> adversary =
+            make_strategy(attack, target_slot, k, adversary_seed);
         SimulationConfig sim_config{config.tie_break, rng()};
         Simulation sim(schedule, sim_config, config.delta, adversary.get());
 
-        // Game semantics: a violation at any observation >= target_slot + k
-        // counts (reorg watch), as does a standing public-fork tie at that close.
-        sim.watch_settlement(target_slot, k);
-        sim.run_until(target_slot + k);
-        const bool tied = sim.observed_settlement_violation(target_slot);
-        sim.run_until(config.horizon);
-        if (tied || sim.settlement_watch_violated(target_slot)) ++partial.settlement_hits;
+        if (sim.play_settlement_game(target_slot, k)) ++partial.settlement_hits;
         if (sim.observed_cp_slot_violation(k)) ++partial.cp_hits;
         partial.divergence.add(static_cast<double>(sim.observed_slot_divergence()));
         std::size_t best = 0;
@@ -76,7 +64,7 @@ ProtocolExperimentResult run_impl(ScheduleFactory&& make_schedule, AttackKind at
 
 }  // namespace
 
-ProtocolExperimentResult run_protocol_experiment(const SymbolLaw& law, AttackKind attack,
+ProtocolExperimentResult run_protocol_experiment(const SymbolLaw& law, Strategy attack,
                                                  std::size_t target_slot, std::size_t k,
                                                  const ProtocolExperimentConfig& config) {
   return run_impl(
@@ -86,7 +74,7 @@ ProtocolExperimentResult run_protocol_experiment(const SymbolLaw& law, AttackKin
       attack, target_slot, k, config);
 }
 
-ProtocolExperimentResult run_protocol_experiment_delta(const TetraLaw& law, AttackKind attack,
+ProtocolExperimentResult run_protocol_experiment_delta(const TetraLaw& law, Strategy attack,
                                                        std::size_t target_slot, std::size_t k,
                                                        const ProtocolExperimentConfig& config) {
   return run_impl(

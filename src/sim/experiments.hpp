@@ -22,8 +22,6 @@ struct ProtocolExperimentConfig {
   std::size_t threads = 0;
 };
 
-enum class AttackKind { None, PrivateChain, Balance };
-
 struct ProtocolExperimentResult {
   Proportion settlement_violations;  ///< slot-s violations observed at s + k
   Proportion cp_violations;          ///< k-CP^slot breaches at the horizon
@@ -34,12 +32,12 @@ struct ProtocolExperimentResult {
 /// Runs `runs` seeded executions with the given leader-election law; measures
 /// whether slot `target_slot` is violated at observation time target_slot + k
 /// and whether the final views breach k-CP^slot.
-ProtocolExperimentResult run_protocol_experiment(const SymbolLaw& law, AttackKind attack,
+ProtocolExperimentResult run_protocol_experiment(const SymbolLaw& law, Strategy attack,
                                                  std::size_t target_slot, std::size_t k,
                                                  const ProtocolExperimentConfig& config);
 
 /// Semi-synchronous variant driven by a TetraLaw and network delay Delta.
-ProtocolExperimentResult run_protocol_experiment_delta(const TetraLaw& law, AttackKind attack,
+ProtocolExperimentResult run_protocol_experiment_delta(const TetraLaw& law, Strategy attack,
                                                        std::size_t target_slot, std::size_t k,
                                                        const ProtocolExperimentConfig& config);
 

@@ -1,6 +1,6 @@
 // The epoch-managed consensus layer: stake registry, epoch nonces, the VRF
-// lottery, the epoch-driven schedule source, and the epoch face of the
-// differential oracle.
+// lottery, the epoch-driven schedule source, and the oracle's grade of
+// stake-driven runs.
 #include "protocol/consensus/schedule.hpp"
 
 #include <gtest/gtest.h>
@@ -12,7 +12,7 @@
 
 #include "engine/seed_sequence.hpp"
 #include "engine/thread_pool.hpp"
-#include "oracle/epoch.hpp"
+#include "oracle/oracle.hpp"
 #include "protocol/blocktree.hpp"
 #include "support/stats.hpp"
 
@@ -302,17 +302,18 @@ TEST(EpochSchedule, StakeShiftChangesTheEpochLaw) {
   EXPECT_NE(sched.epoch_nonce(0), sched.epoch_nonce(1));
 }
 
-// --- the epoch face of the oracle ------------------------------------------
+// --- the oracle's grade of stake-driven runs ------------------------------
 
-oracle::EpochRunConfig shifted_cell() {
-  oracle::EpochRunConfig config;
-  config.consensus.f = 0.5;
-  config.consensus.epoch.epoch_length = 32;
-  config.honest_parties = 6;
-  config.adversarial_stake = 0.25;
+oracle::RunConfig shifted_cell() {
+  oracle::RunConfig config;
+  config.stake.emplace();
+  config.stake->consensus.f = 0.5;
+  config.stake->consensus.epoch.epoch_length = 32;
+  config.stake->adversarial_stake = 0.25;
   // Mid-run redistribution: entering epoch 1 the coalition buys half of party
   // 0's stake (one spec down, one spec up — the adaptive-corruption axis).
-  config.shifts = {{1, 0, 0.0625}, {1, kAdversary, 0.3125}};
+  config.stake->shifts = {{1, 0, 0.0625}, {1, kAdversary, 0.3125}};
+  config.honest_parties = 6;
   config.horizon = 96;
   config.target_slot = 2;
   config.k = 6;
@@ -320,28 +321,28 @@ oracle::EpochRunConfig shifted_cell() {
 }
 
 TEST(EpochOracle, ShiftedExecutionGradesCleanWithAllCells) {
-  oracle::EpochRunConfig config = shifted_cell();
+  const oracle::RunConfig config = shifted_cell();
   engine::SeedSequence streams(2024);
   for (std::uint64_t i = 0; i < 8; ++i) {
     Rng rng = streams.stream(i);
-    const oracle::EpochVerdict verdict = oracle::check_epoch_execution(config, rng);
-    EXPECT_TRUE(verdict.clean()) << "cell " << i << " code " << verdict.code();
+    const oracle::RunVerdict verdict = oracle::check_execution(config, rng);
+    EXPECT_TRUE(verdict.dominated()) << "cell " << i << " code " << verdict.code();
     EXPECT_TRUE(verdict.all_graded);
-    ASSERT_EQ(verdict.cells.size(), 3u);  // 96 slots / 32-slot epochs, none ungraded
-    for (const oracle::EpochCell& cell : verdict.cells) {
-      EXPECT_TRUE(cell.graded);
+    EXPECT_TRUE(verdict.laws_within_band);
+    ASSERT_EQ(verdict.epochs.size(), 3u);  // 96 slots / 32-slot epochs, none ungraded
+    for (const oracle::EpochCell& cell : verdict.epochs) {
       EXPECT_TRUE(cell.law_within_band) << "epoch " << cell.epoch;
       EXPECT_EQ(cell.slots, 32u);
       // The reduced (Proposition 4) law is attached and normalized.
       EXPECT_NEAR(cell.reduced.ph + cell.reduced.pH + cell.reduced.pA, 1.0, 1e-12);
     }
     // The shift moved the epoch-1 law (more adversarial mass, less honest).
-    EXPECT_GT(verdict.cells[1].induced.pA, verdict.cells[0].induced.pA);
+    EXPECT_GT(verdict.epochs[1].induced.pA, verdict.epochs[0].induced.pA);
   }
 }
 
 TEST(EpochOracle, VerdictsAreThreadCountInvariant) {
-  const oracle::EpochRunConfig config = shifted_cell();
+  const oracle::RunConfig config = shifted_cell();
   const std::size_t cells = 12;
   const auto sweep = [&](std::size_t threads) {
     std::vector<char> codes(cells);
@@ -350,11 +351,11 @@ TEST(EpochOracle, VerdictsAreThreadCountInvariant) {
     engine::SeedSequence streams(777);
     engine::for_each_index(cells, threads, [&](std::size_t i) {
       Rng rng = streams.stream(i);
-      const oracle::EpochVerdict v = oracle::check_epoch_execution(config, rng);
+      const oracle::RunVerdict v = oracle::check_execution(config, rng);
       codes[i] = v.code();
-      margins[i] = v.run.fork_margin;
+      margins[i] = v.fork_margin;
       std::uint64_t folded = 0;
-      for (const oracle::EpochCell& cell : v.cells)
+      for (const oracle::EpochCell& cell : v.epochs)
         folded = fnv1a_accumulate(folded, cell.nonce);
       nonces[i] = folded;
     });
@@ -369,18 +370,18 @@ TEST(EpochOracle, VerdictsAreThreadCountInvariant) {
 // thread-invariance test sweeps, serially. Any drift in the lottery, the
 // nonce fold, the simulation or the grade shows up here.
 TEST(EpochOracle, ShiftedSweepIsPinned) {
-  const oracle::EpochRunConfig config = shifted_cell();
+  const oracle::RunConfig config = shifted_cell();
   std::string codes;
   std::vector<std::int64_t> margins;
   std::vector<std::uint64_t> nonces;
   const engine::SeedSequence streams(777);
   for (std::uint64_t i = 0; i < 12; ++i) {
     Rng rng = streams.stream(i);
-    const oracle::EpochVerdict v = oracle::check_epoch_execution(config, rng);
+    const oracle::RunVerdict v = oracle::check_execution(config, rng);
     codes.push_back(v.code());
-    margins.push_back(v.run.fork_margin);
+    margins.push_back(v.fork_margin);
     std::uint64_t folded = 0;
-    for (const oracle::EpochCell& cell : v.cells) folded = fnv1a_accumulate(folded, cell.nonce);
+    for (const oracle::EpochCell& cell : v.epochs) folded = fnv1a_accumulate(folded, cell.nonce);
     nonces.push_back(folded);
   }
   EXPECT_EQ(codes, "aaaaaaa.aaVa");

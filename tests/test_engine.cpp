@@ -234,13 +234,13 @@ TEST(ThreadInvariance, ProtocolExperimentDrivers) {
 
   auto run_sync = [&](std::size_t threads) {
     config.threads = threads;
-    return run_protocol_experiment(law, AttackKind::PrivateChain, 1, 10, config);
+    return run_protocol_experiment(law, Strategy::PrivateChain, 1, 10, config);
   };
   auto run_delta = [&](std::size_t threads) {
     config.threads = threads;
     ProtocolExperimentConfig delta_config = config;
     delta_config.delta = 2;
-    return run_protocol_experiment_delta(tetra, AttackKind::Balance, 1, 10, delta_config);
+    return run_protocol_experiment_delta(tetra, Strategy::Balance, 1, 10, delta_config);
   };
 
   const ProtocolExperimentResult sync1 = run_sync(1);

@@ -409,7 +409,7 @@ oracle::RunConfig fuzz_run_config(faults::FaultProfile, std::size_t delta) {
   oracle::RunConfig rc;
   rc.law = oracle::default_matrix_laws()[0].law;
   rc.tie_break = TieBreak::AdversarialOrder;
-  rc.strategy = oracle::Strategy::Randomized;
+  rc.strategy = Strategy::Randomized;
   rc.delta = delta;
   rc.horizon = 40;
   rc.honest_parties = 6;
@@ -426,8 +426,9 @@ TEST(FaultOracle, EmptyPlanIsObservationallyIdenticalToNoPlan) {
     Rng r1 = streams.stream(r);
     Rng r2 = streams.stream(r);
     const oracle::RunVerdict bare = oracle::check_execution(rc, r1);
-    const faults::FaultPlan empty;
-    const oracle::RunVerdict faulted = oracle::check_execution(rc, r2, &empty);
+    oracle::RunConfig with_empty_plan = rc;
+    with_empty_plan.faults = faults::FaultPlan{};
+    const oracle::RunVerdict faulted = oracle::check_execution(with_empty_plan, r2);
     EXPECT_TRUE(faulted.faulted);
     EXPECT_FALSE(faulted.degraded);
     EXPECT_EQ(faulted.faults_injected, 0u);
@@ -452,18 +453,17 @@ TEST(FaultOracle, FaultedRunsAreGradedNeverSilentlyCorrupt) {
   for (const FaultProfile profile : {FaultProfile::PartitionHeal, FaultProfile::Churn,
                                      FaultProfile::LossyLinks, FaultProfile::Asynchrony,
                                      FaultProfile::Mixed}) {
-    const oracle::RunConfig rc = fuzz_run_config(profile, 2);
+    oracle::RunConfig rc = fuzz_run_config(profile, 2);
     const engine::SeedSequence streams(31337 + static_cast<std::uint64_t>(profile));
     for (std::size_t r = 0; r < 8; ++r) {
       Rng plan_rng = streams.stream(1000 + r);
-      const faults::FaultPlan plan =
-          faults::sample_fault_plan(profile, rc.honest_parties, rc.horizon, rc.delta,
-                                    plan_rng);
+      rc.faults = faults::sample_fault_plan(profile, rc.honest_parties, rc.horizon, rc.delta,
+                                            plan_rng);
       Rng rng = streams.stream(r);
-      const oracle::RunVerdict v = oracle::check_execution(rc, rng, &plan);
+      const oracle::RunVerdict v = oracle::check_execution(rc, rng);
       EXPECT_TRUE(v.faulted);
       EXPECT_NE(v.code(), '!') << faults::fault_profile_name(profile) << " run " << r
-                               << " plan " << plan.serialize();
+                               << " plan " << rc.faults->serialize();
       if (!v.degraded) {
         EXPECT_TRUE(v.dominated());
         EXPECT_LE(v.observed_delta, rc.delta);
@@ -492,18 +492,18 @@ TEST(FaultOracle, LateCrashDoesNotExcusePreCrashDeliveryFailure) {
   oracle::RunConfig rc;
   rc.law = oracle::default_matrix_laws()[0].law;
   rc.tie_break = TieBreak::AdversarialOrder;
-  rc.strategy = oracle::Strategy::Randomized;
+  rc.strategy = Strategy::Randomized;
   rc.delta = 2;
   rc.horizon = 160;
   rc.target_slot = 4;
   rc.k = 10;
   const engine::SeedSequence streams(16);
   Rng plan_rng = streams.stream(1'000'000 + 216);
-  const faults::FaultPlan plan = faults::sample_fault_plan(
-      faults::FaultProfile::Mixed, rc.honest_parties, rc.horizon, rc.delta, plan_rng);
+  rc.faults = faults::sample_fault_plan(faults::FaultProfile::Mixed, rc.honest_parties,
+                                        rc.horizon, rc.delta, plan_rng);
   Rng rng = streams.stream(216);
-  const oracle::RunVerdict v = oracle::check_execution(rc, rng, &plan);
-  EXPECT_NE(v.code(), '!') << "plan " << plan.serialize();
+  const oracle::RunVerdict v = oracle::check_execution(rc, rng);
+  EXPECT_NE(v.code(), '!') << "plan " << rc.faults->serialize();
   EXPECT_TRUE(v.degraded);  // the 99-slot gap must register as degradation
   EXPECT_GT(v.observed_delta, rc.delta);
 }

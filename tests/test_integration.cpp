@@ -48,7 +48,7 @@ TEST(Integration, ProtocolViolationsBelowExactDp) {
   config.honest_parties = 6;
   config.seed = 99;
   const ProtocolExperimentResult result =
-      run_protocol_experiment(law, AttackKind::Balance, 1, k, config);
+      run_protocol_experiment(law, Strategy::Balance, 1, k, config);
   // The game-level probability of an eventual violation dominates any
   // particular observation time; compare against the within-horizon variant.
   long double exact_any = 0.0L;
@@ -96,10 +96,10 @@ TEST(Integration, TieBreakAblationMatchesTheorem2) {
 
   config.tie_break = TieBreak::AdversarialOrder;
   const auto adversarial =
-      run_protocol_experiment(law, AttackKind::Balance, 1, 20, config);
+      run_protocol_experiment(law, Strategy::Balance, 1, 20, config);
   config.tie_break = TieBreak::ConsistentHash;
   const auto consistent =
-      run_protocol_experiment(law, AttackKind::Balance, 1, 20, config);
+      run_protocol_experiment(law, Strategy::Balance, 1, 20, config);
 
   EXPECT_GT(adversarial.settlement_violations.estimate, 0.5);
   EXPECT_LT(consistent.settlement_violations.estimate,

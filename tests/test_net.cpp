@@ -598,7 +598,7 @@ oracle::RunConfig hetero_run_config(TopologyKind topology) {
   rc.law = theorem7_law(1.0, 0.25, 0.45);
   rc.horizon = 48;
   rc.delta = 1;
-  rc.strategy = oracle::Strategy::Balance;
+  rc.strategy = Strategy::Balance;
   rc.net.topology = topology;
   rc.net.k = 2;
   rc.net.latency = {LatencyKind::Uniform, 0, 2, 0.5};

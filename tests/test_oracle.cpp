@@ -8,12 +8,15 @@
 // forbids it, every execution relabels into a valid fork for its reduced
 // string, no fork margin exceeds the Theorem-5 recurrence, and the empirical
 // frequencies stay within Clopper-Pearson bands of the exact DP values.
+// A composed band grades the stake lottery, a fault plan and a gossip
+// network in one execution.
 #include "oracle/scenario.hpp"
 
 #include <gtest/gtest.h>
 
 #include "core/relative_margin.hpp"
 #include "engine/seed_sequence.hpp"
+#include "engine/thread_pool.hpp"
 #include "fork/enumerate.hpp"
 #include "fork_fixtures.hpp"
 
@@ -24,7 +27,6 @@ using oracle::MatrixConfig;
 using oracle::MatrixResult;
 using oracle::RunConfig;
 using oracle::RunVerdict;
-using oracle::Strategy;
 
 MatrixConfig small_matrix(std::size_t runs, std::size_t threads = 0) {
   MatrixConfig config;
@@ -126,11 +128,67 @@ TEST(OracleRun, EveryStrategyIsDominatedOnHonestMajoritySchedules) {
         Rng rng = streams.stream(r);
         const RunVerdict v = oracle::check_execution(rc, rng);
         EXPECT_TRUE(v.dominated())
-            << oracle::strategy_name(strategy) << " run " << r << " code " << v.code();
+            << strategy_name(strategy) << " run " << r << " code " << v.code();
         EXPECT_LE(v.fork_margin, v.string_margin);
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Composed axes: the stake lottery under faults on a gossip network
+// ---------------------------------------------------------------------------
+
+/// The shifted-stake cell of the consensus suite, on a random-k gossip net
+/// with geometric latency; each run adds a Mixed fault plan drawn from a
+/// stream disjoint from the execution's.
+RunConfig composed_run_config(std::size_t run) {
+  RunConfig rc;
+  rc.stake.emplace();
+  rc.stake->consensus.f = 0.5;
+  rc.stake->consensus.epoch.epoch_length = 32;
+  rc.stake->adversarial_stake = 0.25;
+  rc.stake->shifts = {{1, 0, 0.0625}, {1, kAdversary, 0.3125}};
+  rc.honest_parties = 6;
+  rc.horizon = 96;
+  rc.delta = 2;
+  rc.strategy = Strategy::Randomized;
+  rc.net.topology = net::TopologyKind::RandomK;
+  rc.net.k = 2;
+  rc.net.latency = {net::LatencyKind::Geometric, 0, 3, 0.3};
+  Rng plan_rng = engine::SeedSequence(0xc0ffee).stream(run);
+  rc.faults = faults::sample_fault_plan(faults::FaultProfile::Mixed, rc.honest_parties,
+                                        rc.horizon, rc.delta, plan_rng);
+  return rc;
+}
+
+TEST(ComposedOracle, StakeFaultsAndGossipGradeTogether) {
+  constexpr std::size_t kRuns = 16;
+  const auto sweep = [&](std::size_t threads) {
+    std::vector<RunVerdict> verdicts(kRuns);
+    const engine::SeedSequence streams(1414);
+    engine::for_each_index(kRuns, threads, [&](std::size_t i) {
+      Rng rng = streams.stream(i);
+      verdicts[i] = oracle::check_execution(composed_run_config(i), rng);
+    });
+    return verdicts;
+  };
+  const std::vector<RunVerdict> serial = sweep(1);
+  std::size_t injected = 0;
+  for (std::size_t i = 0; i < kRuns; ++i) {
+    const RunVerdict& v = serial[i];
+    // A heterogeneous run is never unbounded, and every epoch is graded.
+    EXPECT_NE(v.code(), '!') << "run " << i;
+    EXPECT_NE(v.code(), 'u') << "run " << i;
+    EXPECT_TRUE(v.faulted && v.heterogeneous);
+    EXPECT_TRUE(v.all_graded);
+    EXPECT_EQ(v.epochs.size(), 3u);
+    if (v.degraded) EXPECT_TRUE(v.recovery_checked);
+    injected += v.faults_injected;
+  }
+  EXPECT_GT(injected, 0u);  // the plans perturbed something
+  EXPECT_EQ(sweep(2), serial);
+  EXPECT_EQ(sweep(8), serial);
 }
 
 // ---------------------------------------------------------------------------
