@@ -534,26 +534,40 @@ struct ComposedGossipOutcome {
   faults::FaultStats stats;
 };
 
-ComposedGossipOutcome composed_gossip_run(std::size_t parties, std::size_t horizon,
-                                          std::uint64_t seed) {
-  constexpr std::size_t kDelta = 2;
-  Rng rng(seed);
-  const LeaderSchedule schedule =
-      LeaderSchedule::from_symbol_law(kTransportProbeLaw, horizon, parties, rng);
+/// One composed execution's shape; the default network is the random-k gossip
+/// of the adversarial_gossip benchmark workload.
+struct GossipShape {
+  std::size_t parties = 0;
+  std::size_t horizon = 0;
+  std::uint64_t seed = 0;
+  std::size_t delta = 2;
+  NetConfig net = [] {
+    NetConfig cfg;
+    cfg.topology = TopologyKind::RandomK;
+    cfg.k = 4;
+    cfg.latency = {LatencyKind::Geometric, 0, 3, 0.5};
+    return cfg;
+  }();
+};
+
+ComposedGossipOutcome composed_gossip_run(const GossipShape& shape) {
+  Rng rng(shape.seed);
+  const LeaderSchedule schedule = LeaderSchedule::from_symbol_law(
+      kTransportProbeLaw, shape.horizon, shape.parties, rng);
   RandomizedAdversary adversary(rng());
-  Rng plan_rng(seed ^ 0xfa017b1a5eedULL);
+  Rng plan_rng(shape.seed ^ 0xfa017b1a5eedULL);
   faults::FaultInjector injector(
-      faults::sample_fault_plan(faults::FaultProfile::Mixed, parties, horizon, kDelta, plan_rng),
-      parties, horizon);
-  NetConfig cfg;
-  cfg.topology = TopologyKind::RandomK;
-  cfg.k = 4;
-  cfg.latency = {LatencyKind::Geometric, 0, 3, 0.5};
-  Simulation sim(schedule, SimulationConfig{TieBreak::AdversarialOrder, rng()}, kDelta,
-                 &adversary, &injector, cfg);
+      faults::sample_fault_plan(faults::FaultProfile::Mixed, shape.parties, shape.horizon,
+                                shape.delta, plan_rng),
+      shape.parties, shape.horizon);
+  Simulation sim(schedule, SimulationConfig{TieBreak::AdversarialOrder, rng()}, shape.delta,
+                 &adversary, &injector, shape.net);
   sim.run();
   ComposedGossipOutcome out;
-  out.observed_delta = sim.net_report().observed_delta;
+  // A lockstep run has no gossip report: its observed Delta is the fault
+  // layer's.
+  out.observed_delta = shape.net.heterogeneous() ? sim.net_report().observed_delta
+                                                 : sim.fault_report().observed_delta;
   out.stats = injector.stats();
   std::uint64_t d = kFnvOffsetBasis;
   for (const Block& b : sim.all_blocks()) d = fnv1a_accumulate(d, b.hash);
@@ -573,7 +587,7 @@ ComposedGossipOutcome composed_gossip_run(std::size_t parties, std::size_t horiz
 TEST(FacadeEquivalence, ComposedAdversarialGossipPinHolds) {
   // Computed on the heap-of-Blocks transport, before the transport moved to
   // interned ids; it must never be re-pinned for a refactor.
-  const ComposedGossipOutcome out = composed_gossip_run(24, 300, 31);
+  const ComposedGossipOutcome out = composed_gossip_run({24, 300, 31});
   // The counters are folded into the digest too; pinned one by one so a
   // failure names what moved.
   EXPECT_EQ(out.observed_delta, 40u);
@@ -587,6 +601,72 @@ TEST(FacadeEquivalence, ComposedAdversarialGossipPinHolds) {
   EXPECT_EQ(out.stats.watermarks_invalidated, 1140u);
   EXPECT_EQ(out.stats.leaderships_skipped, 0u);
   EXPECT_EQ(out.digest, 0x3eeac0cbf90b8a91ULL);
+}
+
+// The wider exactness net: the same fold over the shapes the composed pin
+// leaves out — other gossip topologies, a bandwidth cap (egress spills are a
+// relay side effect), Delta = 1, the lockstep transport under Mixed faults,
+// and the adversarial_gossip workload's own shape. Every value was captured
+// on the transport that still delivered every re-published block; none may
+// ever be re-pinned.
+void expect_pinned(const GossipShape& shape, std::size_t observed_delta,
+                   const faults::FaultStats& stats, std::uint64_t digest) {
+  SCOPED_TRACE("shape " + std::to_string(shape.parties) + " x " +
+               std::to_string(shape.horizon) + ", seed " + std::to_string(shape.seed));
+  const ComposedGossipOutcome out = composed_gossip_run(shape);
+  EXPECT_EQ(out.observed_delta, observed_delta);
+  EXPECT_EQ(out.stats.ships_dropped, stats.ships_dropped);
+  EXPECT_EQ(out.stats.ships_duplicated, stats.ships_duplicated);
+  EXPECT_EQ(out.stats.ships_delayed, stats.ships_delayed);
+  EXPECT_EQ(out.stats.crashes, stats.crashes);
+  EXPECT_EQ(out.stats.restarts, stats.restarts);
+  EXPECT_EQ(out.stats.partitions_healed, stats.partitions_healed);
+  EXPECT_EQ(out.stats.resync_blocks, stats.resync_blocks);
+  EXPECT_EQ(out.stats.watermarks_invalidated, stats.watermarks_invalidated);
+  EXPECT_EQ(out.stats.leaderships_skipped, stats.leaderships_skipped);
+  EXPECT_EQ(out.digest, digest) << std::hex << "0x" << out.digest;
+}
+
+GossipShape with_topology(GossipShape shape, TopologyKind topology) {
+  shape.net.topology = topology;
+  return shape;
+}
+
+TEST(FacadeEquivalence, RingGossipPinHolds) {
+  expect_pinned(with_topology({24, 300, 32}, TopologyKind::Ring), 229,
+                {2298, 30, 142, 9, 9, 1, 411, 1783, 1}, 0x8d4b12fda4055a73ULL);
+}
+
+TEST(FacadeEquivalence, BridgeGossipPinHolds) {
+  expect_pinned(with_topology({24, 300, 33}, TopologyKind::TwoClusterBridge), 69,
+                {5019, 91, 417, 9, 9, 1, 176, 1860, 0}, 0xa8ed05aa7ea88afbULL);
+}
+
+TEST(FacadeEquivalence, BandwidthCappedGossipPinHolds) {
+  GossipShape shape{24, 300, 34};
+  shape.net.bandwidth = 2;
+  expect_pinned(shape, 125, {2650, 50, 585, 4, 4, 2, 403, 585, 1}, 0x6743d909a52fd289ULL);
+}
+
+TEST(FacadeEquivalence, DeltaOneGossipPinHolds) {
+  GossipShape shape{24, 300, 35};
+  shape.delta = 1;
+  expect_pinned(shape, 11, {1098, 0, 26, 6, 6, 2, 234, 1191, 0}, 0x253ca4f15d9e1626ULL);
+}
+
+TEST(FacadeEquivalence, LockstepMixedFaultsPinHolds) {
+  GossipShape shape{24, 300, 36};
+  shape.net = NetConfig::degenerate();
+  expect_pinned(shape, 179, {955, 104, 341, 6, 5, 1, 347, 888, 0}, 0x4121c307b34fe1c4ULL);
+}
+
+TEST(FacadeEquivalence, AdversarialGossipWorkloadShapePinsHold) {
+  // 64 parties x 1000 slots: the benchmark workload's shape, where nearly
+  // every delivery is a re-publish.
+  expect_pinned({64, 1000, 1}, 938, {7528, 31, 4402, 8, 8, 1, 422, 4612, 0},
+                0x89f59643d144378fULL);
+  expect_pinned({64, 1000, 2}, 175, {1272, 176, 963, 2, 2, 1, 633, 1292, 0},
+                0x7c3b9cd0979c5bbdULL);
 }
 
 // ---------------------------------------------------------------------------
