@@ -20,14 +20,14 @@
 //   protocol.tree.*   lifted-ancestor query depths
 //   protocol.sim.*    slot loop progress
 //   dp.*              banded-kernel band widths, cells touched, precision path
-//   oracle.*          per-cell timings, phase spans, MC<->DP band slack
+//   oracle.*          per-cell timings, phase timers, MC<->DP band slack
 //
 // Recording never perturbs results: instruments touch no RNG stream and no
 // simulation state, and shard merges are commutative sums (metrics.hpp).
 #pragma once
 
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/timer.hpp"
 
 namespace mh::obs {
 
@@ -80,10 +80,7 @@ constexpr bool compiled() noexcept {
     }                                                                 \
   } while (0)
 
-/// RAII phase span for the enclosing scope (trace ring only).
-#define MH_OBS_SPAN(name) ::mh::obs::Span MH_OBS_CONCAT(mh_obs_span_, __LINE__)(name)
-
-/// RAII span + duration histogram of the same name.
+/// RAII duration histogram of the enclosing scope, under `name`.
 #define MH_OBS_TIMER(name) ::mh::obs::ScopedTimer MH_OBS_CONCAT(mh_obs_timer_, __LINE__)(name)
 
 #else  // !MH_OBS_ENABLED — every hook compiles away entirely.
@@ -92,7 +89,6 @@ constexpr bool compiled() noexcept {
 #define MH_OBS_COUNT(name, n) ((void)0)
 #define MH_OBS_GAUGE_SET(name, v) ((void)0)
 #define MH_OBS_HIST(name, v) ((void)0)
-#define MH_OBS_SPAN(name) ((void)0)
 #define MH_OBS_TIMER(name) ((void)0)
 
 #endif  // MH_OBS_ENABLED
