@@ -10,20 +10,17 @@ namespace mh::faults {
 FaultInjector::FaultInjector(const FaultPlan& plan, std::size_t parties, std::size_t horizon)
     : plan_(plan), parties_(parties), horizon_(horizon), link_streams_(plan.seed) {
   plan_.validate(parties, horizon);
-  // The transport asks window_active and is_down on every send; both answer
-  // from sorted, disjoint windows by binary search instead of scanning the plan.
+  // The transport asks window_active, is_down and any_down on every send;
+  // they answer from sorted, disjoint windows by binary search instead of
+  // scanning the plan.
   std::vector<Window> any;
   for (const PartitionSpec& p : plan_.partitions) any.push_back(Window{p.start, p.heal});
-  for (const CrashSpec& c : plan_.churn) any.push_back(Window{c.crash, c.restart});
   for (const LinkFaultSpec& l : plan_.links) any.push_back(Window{l.start, l.end});
-  std::sort(any.begin(), any.end(),
-            [](const Window& a, const Window& b) { return a.start < b.start; });
-  for (const Window& w : any) {  // validate() made every window non-empty
-    if (!active_.empty() && w.start <= active_.back().end)
-      active_.back().end = std::max(active_.back().end, w.end);
-    else
-      active_.push_back(w);
-  }
+  std::vector<Window> downs;
+  for (const CrashSpec& c : plan_.churn) downs.push_back(Window{c.crash, c.restart});
+  any.insert(any.end(), downs.begin(), downs.end());
+  active_ = merged(std::move(any));
+  down_any_ = merged(std::move(downs));
   if (plan_.churn.empty()) return;
   // Down-windows sorted by (party, crash). A party's windows never overlap
   // (validate() rejects that), so they are disjoint as they stand.
@@ -37,6 +34,19 @@ FaultInjector::FaultInjector(const FaultPlan& plan, std::size_t parties, std::si
     down_.push_back(Window{c.crash, c.restart});
   }
   for (std::size_t p = 0; p < parties; ++p) down_begin_[p + 1] += down_begin_[p];
+}
+
+std::vector<FaultInjector::Window> FaultInjector::merged(std::vector<Window> windows) {
+  std::sort(windows.begin(), windows.end(),
+            [](const Window& a, const Window& b) { return a.start < b.start; });
+  std::vector<Window> out;
+  for (const Window& w : windows) {  // validate() made every window non-empty
+    if (!out.empty() && w.start <= out.back().end)
+      out.back().end = std::max(out.back().end, w.end);
+    else
+      out.push_back(w);
+  }
+  return out;
 }
 
 bool FaultInjector::covers(std::span<const Window> windows, std::size_t slot) noexcept {
@@ -59,6 +69,14 @@ bool FaultInjector::window_active(std::size_t slot) const noexcept {
 
 bool FaultInjector::is_down(PartyId party, std::size_t slot) const noexcept {
   return covers(down_windows(party), slot);
+}
+
+bool FaultInjector::any_down(std::size_t lo, std::size_t hi) const noexcept {
+  // The first merged window ending after `lo` is the only candidate.
+  const auto first =
+      std::upper_bound(down_any_.begin(), down_any_.end(), lo,
+                       [](std::size_t s, const Window& w) { return s < w.end; });
+  return first != down_any_.end() && first->start <= hi;
 }
 
 bool FaultInjector::down_in_window(PartyId party, std::size_t lo, std::size_t hi) const noexcept {

@@ -66,6 +66,10 @@ class FaultInjector {
   /// A binary search over the party's sorted down-windows.
   [[nodiscard]] bool is_down(PartyId party, std::size_t slot) const noexcept;
 
+  /// Is any party down at some slot of [lo, hi] (inclusive)? A binary search
+  /// over every party's down-windows, merged.
+  [[nodiscard]] bool any_down(std::size_t lo, std::size_t hi) const noexcept;
+
   /// Does a down-window of `party` intersect slots [lo, hi] (inclusive)?
   /// (The non-delivery sweep's excusal; for observed-Delta use down_slots_in —
   /// a binary excusal would let a crash far into the window mask a genuine
@@ -112,6 +116,8 @@ class FaultInjector {
     std::size_t start;
     std::size_t end;
   };
+  /// `windows` sorted by start, overlapping and touching ones merged.
+  [[nodiscard]] static std::vector<Window> merged(std::vector<Window> windows);
   /// Does one of `windows` (sorted by start, disjoint) hold `slot`?
   [[nodiscard]] static bool covers(std::span<const Window> windows, std::size_t slot) noexcept;
   /// `party`'s down-windows, sorted by crash slot (empty for unknown parties).
@@ -124,6 +130,8 @@ class FaultInjector {
   FaultStats stats_;
   /// Every partition, down- and link-fault window, merged: sorted and disjoint.
   std::vector<Window> active_;
+  /// Every party's down-windows, merged: sorted and disjoint.
+  std::vector<Window> down_any_;
   /// Down-windows grouped by party: party p's are
   /// down_[down_begin_[p] .. down_begin_[p + 1]). Empty when the plan has no churn.
   std::vector<std::uint32_t> down_begin_;

@@ -1,6 +1,7 @@
 #include "protocol/network.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <string>
 
 #include "obs/obs.hpp"
@@ -117,6 +118,43 @@ bool Network::faulted_link(PartyId sender, PartyId recipient, std::size_t slot,
     MH_OBS_COUNT("protocol.faults.ships_duplicated", 1);
   }
   return true;
+}
+
+// --- no-op re-delivery elision ---------------------------------------------
+
+void Network::bind_views(std::span<const HonestNode> nodes) {
+  MH_REQUIRE_MSG(nodes.size() == parties_, "bound " + std::to_string(nodes.size()) +
+                                               " views, network has " +
+                                               std::to_string(parties_) + " parties");
+  views_ = nodes;
+}
+
+bool Network::elidable(BlockId id, std::size_t due) const {
+  if (views_.empty() || interned_.canonical(id) != id) return false;
+  if (!hetero_) return true;
+  return id < covered_by_.size() && covered_by_[id] == parties_ &&
+         (faults_ == nullptr || !faults_->any_down(std::min(due, now_), std::max(due, now_)));
+}
+
+bool Network::view_holds(PartyId recipient, BlockId id) {
+  if (held_.size() <= id) held_.resize(interned_.size());
+  Held& held = held_[id];
+  if (recipient < held.prefix) return true;
+  if (held.copy == Held::Copy::Foreign) return false;
+  const Block& block = interned_.block(id);
+  const BlockTree& view = views_[recipient].tree();
+  if (!view.contains(block.hash)) return false;
+  if (held.copy == Held::Copy::Unchecked)
+    held.copy = view.block(block.hash) == block ? Held::Copy::Pooled : Held::Copy::Foreign;
+  return held.copy == Held::Copy::Pooled;
+}
+
+bool Network::all_views_hold(BlockId id) {
+  // Views only grow, so the holder prefix only advances: a call costs O(1)
+  // amortized — one failed test, plus advances that total P per id.
+  if (held_.size() <= id) held_.resize(interned_.size());
+  while (held_[id].prefix < parties_ && view_holds(held_[id].prefix, id)) ++held_[id].prefix;
+  return held_[id].prefix == parties_;
 }
 
 // --- heterogeneous (event-core gossip) path --------------------------------
@@ -381,9 +419,13 @@ void Network::inject(const Block& block, PartyId recipient, std::size_t visible_
     MH_OBS_COUNT("protocol.faults.ships_dropped", 1);
     return;
   }
-  MH_OBS_COUNT("protocol.net.blocks_shipped", 1);
   const BlockId id = interned_.intern(block);
-  push(recipient, id, visible_slot);
+  if (elidable(id, visible_slot) && view_holds(recipient, id)) {
+    MH_OBS_COUNT("protocol.net.republish_elided", 1);
+  } else {
+    MH_OBS_COUNT("protocol.net.blocks_shipped", 1);
+    push(recipient, id, visible_slot);
+  }
   if (hetero_) {
     cover(recipient, id);
     return;
@@ -398,10 +440,19 @@ void Network::inject_all(const Block& block, std::size_t visible_slot) {
   MH_REQUIRE_MSG(visible_slot >= block.slot,
                  "non-monotone injection: a slot-" + std::to_string(block.slot) +
                      " block cannot be visible at slot " + std::to_string(visible_slot));
-  MH_OBS_COUNT("protocol.net.blocks_shipped", parties_);
   const bool faulted = fault_window(visible_slot);
   const BlockId id = interned_.intern(block);
+  // A block some view lacks ships to everyone, as always; one every view
+  // holds gets no lane entry at all.
+  const bool elide = elidable(id, visible_slot) && all_views_hold(id);
   if (hetero_) {
+    // Elision has ruled out a party down at visible_slot (no drop to count),
+    // and every coverage already holds the block: nothing is left to do.
+    if (elide) {
+      MH_OBS_COUNT("protocol.net.republish_elided", parties_);
+      return;
+    }
+    MH_OBS_COUNT("protocol.net.blocks_shipped", parties_);
     for (PartyId r = 0; r < parties_; ++r) {
       if (faulted && faults_->is_down(r, visible_slot)) {
         ++faults_->stats().ships_dropped;
@@ -417,13 +468,22 @@ void Network::inject_all(const Block& block, std::size_t visible_slot) {
   // carries the coverage — per-recipient entries would be strictly redundant.
   // A fault window disables it: a down recipient's ship is dropped.
   const bool all_covered = !faulted && covered_all(block.parent, visible_slot);
+  if (elide && all_covered) {
+    record(sent_all_, block.hash, visible_slot);
+    MH_OBS_COUNT("protocol.net.republish_elided", parties_);
+    return;
+  }
+  if (elide)
+    MH_OBS_COUNT("protocol.net.republish_elided", parties_);
+  else
+    MH_OBS_COUNT("protocol.net.blocks_shipped", parties_);
   for (PartyId r = 0; r < parties_; ++r) {
     if (faulted && faults_->is_down(r, visible_slot)) {
       ++faults_->stats().ships_dropped;
       MH_OBS_COUNT("protocol.faults.ships_dropped", 1);
       continue;
     }
-    push(r, id, visible_slot);
+    if (!elide) push(r, id, visible_slot);
     if (!all_covered && covered(r, block.parent, visible_slot))
       record_recipient(r, block.hash, visible_slot);
   }
@@ -439,15 +499,21 @@ void Network::crash_recipient(PartyId recipient) {
   // claimed they were scheduled. The all-recipient bound covers this
   // recipient's wiped in-flight messages too, so it must be invalidated —
   // conservatively for everyone, which only costs re-ships.
-  const std::size_t invalidated = queue.sent.size() + sent_all_.size() +
-                                  (hetero_ ? coverage_[recipient].count : 0);
+  std::size_t invalidated = queue.sent.size() + sent_all_.size();
+  if (hetero_) {
+    // One coverage entry per distinct hash scheduled for this recipient.
+    const std::vector<std::uint64_t>& words = coverage_[recipient].words;
+    for (std::size_t w = 0; w < words.size(); ++w)
+      for (std::uint64_t bits = words[w]; bits != 0; bits &= bits - 1, ++invalidated)
+        --covered_by_[w * 64 + static_cast<std::size_t>(std::countr_zero(bits))];
+    coverage_[recipient] = Coverage{};
+  }
   if (faults_ != nullptr) faults_->stats().watermarks_invalidated += invalidated;
   MH_OBS_COUNT("protocol.faults.watermarks_invalidated", invalidated);
   events_.wipe(recipient);
   queue.sent.clear();
   queue.sent_log.clear();
   queue.log_head = 0;
-  if (hetero_) coverage_[recipient] = Coverage{};
   sent_all_.clear();
 }
 
@@ -491,6 +557,7 @@ void Network::collect_into(PartyId recipient, std::size_t slot, std::vector<Bloc
   // schedules toward this recipient (every block in its lane is in its
   // coverage, so even a one-party ring's self-loop is deduplicated), and relay
   // dues are >= slot + 1, so the cascade never re-enters this slot's collect.
+  now_ = std::max(now_, slot);
   const bool faulted = fault_window(slot);
   events_.collect_due(recipient, slot, [&](BlockId id) {
     out->push_back(interned_.block(id));

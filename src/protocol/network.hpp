@@ -52,10 +52,34 @@
 // With no injector attached every code path below is byte-identical to the
 // un-faulted transport. Adversarial injections and re-sync ships are direct
 // channels: they bypass topology, latency, and bandwidth in every mode.
+//
+// No-op re-delivery elision: a party's state is its block tree, so handing it
+// a block it already holds changes nothing (adding a present block to a tree
+// is the identity). The adversary re-publishes whole chains, so inject and
+// inject_all skip every lane entry whose pop is provably a no-op. With the
+// recipients' views bound (bind_views; the Simulation binds its nodes), a
+// push of block b to recipient r due at v is a no-op when
+//   (i)  r's view holds b's hash and b is the pooled copy of it. Views only
+//        grow and a crash keeps the tree, so receive() returns Duplicate at
+//        any later pop; a tampered copy is never skipped;
+//   (ii) heterogeneous mode only: every party's coverage holds b's canonical
+//        id, and no party is down at any slot between now (the latest collect
+//        slot) and v, both included. Coverage shrinks only through
+//        crash_recipient, which the fault layer applies only to a party down
+//        at that slot, so the pop's relay finds every neighbor covered and
+//        sends nothing.
+// Skipping an entry keeps the relative order of the rest of its lane, and
+// link verdicts and latency draws are keyed (slot, sender, recipient), so no
+// stream shifts. Everything else a push does stays: interning, coverage, the
+// drop count for down recipients, and the lockstep watermark records. Both
+// tests are O(1) amortized per call: "every party holds it" is a per-id
+// prefix of holders that only advances, coverage is counted per id, and the
+// down test is one FaultInjector::any_down query.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -66,6 +90,7 @@
 #include "protocol/net/event_core.hpp"
 #include "protocol/net/intern_table.hpp"
 #include "protocol/net/topology.hpp"
+#include "protocol/node.hpp"
 
 namespace mh {
 
@@ -90,6 +115,18 @@ class Network {
   /// neither; the caller guarantees lifetime).
   void attach_faults(faults::FaultInjector* faults) noexcept { faults_ = faults; }
   [[nodiscard]] faults::FaultInjector* fault_injector() const noexcept { return faults_; }
+
+  /// Bind the recipients' views, one node per party in PartyId order, which
+  /// turns on no-op re-delivery elision (see above; an unbound Network ships
+  /// every push). The nodes must outlive the Network and never move; the
+  /// Simulation binds its node vector, whose buffer survives a move of the
+  /// Simulation.
+  void bind_views(std::span<const HonestNode> nodes);
+
+  /// Undelivered lane entries toward `recipient`.
+  [[nodiscard]] std::size_t pending(PartyId recipient) const {
+    return events_.pending(recipient);
+  }
 
   /// Honest broadcast at slot `sent_slot`; `delay[r]` in [0, delta] is the
   /// adversary's extra hold-back for recipient r (empty = no extra delay).
@@ -162,20 +199,29 @@ class Network {
   /// Deduplicates gossip relays and bounds chain-sync walks.
   struct Coverage {
     std::vector<std::uint64_t> words;
-    std::size_t count = 0;  ///< set bits: distinct hashes scheduled
 
     [[nodiscard]] bool test(BlockId id) const noexcept {
       const std::size_t w = id >> 6;
       return w < words.size() && ((words[w] >> (id & 63)) & 1) != 0;
     }
-    void set(BlockId id) {
+    /// Set `id`'s bit; false if it was already set.
+    bool set(BlockId id) {
       const std::size_t w = id >> 6;
       if (w >= words.size()) words.resize(w + 1, 0);
       const std::uint64_t bit = std::uint64_t{1} << (id & 63);
-      if ((words[w] & bit) != 0) return;
+      if ((words[w] & bit) != 0) return false;
       words[w] |= bit;
-      ++count;
+      return true;
     }
+  };
+
+  /// What the bound views hold of one canonical id.
+  struct Held {
+    /// Leading parties whose views are known to hold it; only advances.
+    std::uint32_t prefix = 0;
+    /// Is the interned copy the pooled block? Decided at the first view found
+    /// holding the hash.
+    enum class Copy : std::uint8_t { Unchecked, Pooled, Foreign } copy = Copy::Unchecked;
   };
 
   /// A broadcast's preconditions: the delay vector covers every party (or is
@@ -200,8 +246,19 @@ class Network {
   void expire_watermarks(PartyId recipient, std::size_t slot);
   /// Mark `id` scheduled for `recipient`, as its hash (heterogeneous mode).
   void cover(PartyId recipient, BlockId id) {
-    coverage_[recipient].set(interned_.canonical(id));
+    const BlockId canonical = interned_.canonical(id);
+    if (!coverage_[recipient].set(canonical)) return;
+    if (covered_by_.size() <= canonical) covered_by_.resize(interned_.size(), 0);
+    ++covered_by_[canonical];
   }
+  /// The recipient-independent half of the no-op test for pushes of `id` due
+  /// at `due`: views are bound, `id` is its hash's canonical copy, and in
+  /// heterogeneous mode (ii) holds.
+  [[nodiscard]] bool elidable(BlockId id, std::size_t due) const;
+  /// Test (i) for one recipient; `id` is canonical.
+  bool view_holds(PartyId recipient, BlockId id);
+  /// Test (i) for every recipient, memoized; `id` is canonical.
+  bool all_views_hold(BlockId id);
   /// Shipping counters are aggregated at the broadcast/inject call sites (one
   /// add per round, not per push): push() runs millions of times per
   /// execution and a per-push hook alone costs ~2% wall-clock on the E14
@@ -249,6 +306,10 @@ class Network {
   net::EventCore events_;                    ///< the per-recipient delivery lanes
   std::vector<RecipientQueue> queues_;       // per-recipient watermark state
   std::vector<Coverage> coverage_;           ///< per-recipient (hetero only)
+  std::vector<std::uint32_t> covered_by_;    ///< per canonical id: coverages holding it
+  std::span<const HonestNode> views_;        ///< the recipients' trees (empty = unbound)
+  std::vector<Held> held_;                   ///< per canonical id (bound views only)
+  std::size_t now_ = 0;                      ///< latest collect slot (hetero only)
   struct Egress {
     std::size_t slot = 0;
     std::size_t used = 0;

@@ -35,6 +35,10 @@ Simulation::Simulation(const ScheduleSource& schedule, SimulationConfig config,
   nodes_.reserve(schedule.honest_parties());
   for (PartyId p = 0; p < schedule.honest_parties(); ++p)
     nodes_.emplace_back(p, config.tie_break, &schedule_, global_tree_.view());
+  // Re-publishes of blocks a node already holds are elided against its view.
+  // nodes_ never grows past this point, and a moved Simulation keeps the
+  // vector's buffer, so the bound span stays valid.
+  network_.bind_views(nodes_);
   all_blocks_.push_back(genesis_block());
   if (adversary_) adversary_->begin(*this);
 }

@@ -168,10 +168,10 @@ TEST(FaultInjector, DownSlotDiscountCountsOnlyDownSlots) {
 }
 
 TEST(FaultInjector, TableLookupsMatchAPlanScan) {
-  // window_active and is_down answer by binary search over windows merged and
-  // sorted at construction; they must agree with a scan of the plan at every
-  // slot, past the horizon too (windows may outlast it), and for parties the
-  // plan never names.
+  // window_active, is_down and any_down answer by binary search over windows
+  // merged and sorted at construction; they must agree with a scan of the
+  // plan at every slot, past the horizon too (windows may outlast it), and for
+  // parties the plan never names.
   const auto window_scan = [](const faults::FaultPlan& plan, std::size_t slot) {
     for (const auto& p : plan.partitions)
       if (p.start <= slot && slot < p.heal) return true;
@@ -186,6 +186,11 @@ TEST(FaultInjector, TableLookupsMatchAPlanScan) {
       if (c.party == party && c.crash <= slot && slot < c.restart) return true;
     return false;
   };
+  const auto any_down_scan = [](const faults::FaultPlan& plan, std::size_t lo, std::size_t hi) {
+    for (const auto& c : plan.churn)
+      if (c.crash <= hi && lo < c.restart) return true;
+    return false;
+  };
   const auto check = [&](const faults::FaultPlan& plan, std::size_t parties,
                          std::size_t horizon, const std::string& label) {
     const faults::FaultInjector inj(plan, parties, horizon);
@@ -194,6 +199,9 @@ TEST(FaultInjector, TableLookupsMatchAPlanScan) {
       for (PartyId party = 0; party <= parties; ++party)
         ASSERT_EQ(inj.is_down(party, slot), down_scan(plan, party, slot))
             << label << " party " << party << " slot " << slot;
+      for (std::size_t width = 0; width <= 6; ++width)
+        ASSERT_EQ(inj.any_down(slot, slot + width), any_down_scan(plan, slot, slot + width))
+            << label << " slots [" << slot << ", " << slot + width << "]";
     }
     EXPECT_FALSE(inj.is_down(kAdversary, 1)) << label;
   };

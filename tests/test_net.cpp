@@ -497,6 +497,196 @@ TEST(HeteroNetwork, DegenerateReportIsTrivial) {
 }
 
 // ---------------------------------------------------------------------------
+// No-op re-delivery elision
+// ---------------------------------------------------------------------------
+
+/// A network bound to `parties` honest nodes over one block pool, on a
+/// schedule where every slot is adversarial, so adversarial blocks at any slot
+/// are eligible.
+struct BoundNetwork {
+  BoundNetwork(std::size_t parties, NetConfig cfg, faults::FaultInjector* faults = nullptr)
+      : schedule(std::vector<SlotLeaders>(16, SlotLeaders{{}, true}), parties),
+        net(parties, 0, cfg) {
+    nodes.reserve(parties);
+    for (PartyId p = 0; p < parties; ++p)
+      nodes.emplace_back(p, TieBreak::ConsistentHash, &schedule, pool.view());
+    net.bind_views(nodes);
+    net.attach_faults(faults);
+  }
+
+  /// Every party's undelivered lane entries.
+  [[nodiscard]] std::vector<std::size_t> pending() const {
+    std::vector<std::size_t> out;
+    for (PartyId p = 0; p < nodes.size(); ++p) out.push_back(net.pending(p));
+    return out;
+  }
+
+  /// Collect every party at `slot` and hand the deliveries to its node, the
+  /// way the simulation does; returns what each party was handed.
+  std::vector<std::vector<Block>> deliver(std::size_t slot) {
+    std::vector<std::vector<Block>> got(nodes.size());
+    for (PartyId p = 0; p < nodes.size(); ++p) {
+      got[p] = drain(net, p, slot);
+      for (const Block& b : got[p]) nodes[p].receive(b);
+    }
+    return got;
+  }
+
+  LeaderSchedule schedule;
+  BlockTree pool;
+  std::vector<HonestNode> nodes;
+  Network net;
+};
+
+NetConfig ring() {
+  NetConfig cfg;
+  cfg.topology = TopologyKind::Ring;
+  return cfg;
+}
+
+TEST(RedeliveryElision, RepublishingABlockEveryNodeHoldsAddsNoLaneEntry) {
+  for (const NetConfig& cfg : {NetConfig::degenerate(), ring()}) {
+    BoundNetwork bound(4, cfg);
+    const Block b = test_block(1, 1, kAdversary);
+    bound.pool.add(b);
+    bound.net.inject_all(b, 1);
+    EXPECT_EQ(bound.pending(), std::vector<std::size_t>(4, 1));
+    bound.deliver(1);
+    const std::vector<std::size_t> drained = bound.pending();
+    bound.net.inject_all(b, 2);
+    bound.net.inject(b, 3, 2);
+    EXPECT_EQ(bound.pending(), drained) << "heterogeneous: " << cfg.heterogeneous();
+    for (const auto& got : bound.deliver(4)) EXPECT_TRUE(got.empty());
+  }
+}
+
+TEST(RedeliveryElision, ABlockOneNodeLacksStillShipsToEveryParty) {
+  for (const NetConfig& cfg : {NetConfig::degenerate(), ring()}) {
+    BoundNetwork bound(4, cfg);
+    const Block b = test_block(1, 1, kAdversary);
+    bound.pool.add(b);
+    bound.net.inject_all(b, 1);
+    for (PartyId p : {0u, 1u, 3u}) EXPECT_EQ(drain(bound.net, p, 1).size(), 1u);
+    for (PartyId p : {0u, 1u, 3u}) bound.nodes[p].receive(b);
+    // Party 2 has not been handed its copy yet: a re-publish ships to all.
+    bound.net.inject_all(b, 2);
+    EXPECT_EQ(bound.pending(), (std::vector<std::size_t>{1, 1, 2, 1}))
+        << "heterogeneous: " << cfg.heterogeneous();
+    // A single-recipient injection checks only that recipient's view.
+    bound.net.inject(b, 0, 2);
+    bound.net.inject(b, 2, 2);
+    EXPECT_EQ(bound.pending(), (std::vector<std::size_t>{1, 1, 3, 1}));
+  }
+}
+
+TEST(RedeliveryElision, ACrashWipedNeighborBlocksTheSkipAndTheRelayRetryReachesIt) {
+  faults::FaultPlan plan;
+  plan.churn.push_back({2, 3, 4});  // party 2 is down at slot 3 only
+  faults::FaultInjector inj(plan, 4, 16);
+  BoundNetwork bound(4, ring(), &inj);
+  const Block b = test_block(1, 1, kAdversary);
+  bound.pool.add(b);
+  bound.net.inject_all(b, 1);
+  bound.deliver(1);
+  bound.net.crash_recipient(2);  // the slot-3 crash: party 2's coverage is gone
+  bound.deliver(4);
+  // Every view holds b, but party 2's coverage lacks it: the injection toward
+  // its ring neighbor 1 ships, and 1's pop relays b on to party 2.
+  bound.net.inject(b, 1, 5);
+  EXPECT_EQ(bound.net.pending(1), 1u);
+  const auto at5 = bound.deliver(5);
+  EXPECT_EQ(at5[1], std::vector<Block>{b});
+  EXPECT_EQ(bound.net.pending(2), 1u);
+  EXPECT_EQ(bound.deliver(6)[2], std::vector<Block>{b});
+  // Coverage is whole again: the next re-publish is a no-op.
+  bound.net.inject_all(b, 7);
+  EXPECT_EQ(bound.pending(), std::vector<std::size_t>(4, 0));
+}
+
+TEST(RedeliveryElision, APartyDownBeforeTheDueBlocksTheSkip) {
+  faults::FaultPlan plan;
+  plan.churn.push_back({3, 6, 8});  // party 3 is down over [6, 8)
+  faults::FaultInjector inj(plan, 4, 16);
+  BoundNetwork bound(4, ring(), &inj);
+  const Block b = test_block(1, 1, kAdversary);
+  bound.pool.add(b);
+  bound.net.inject_all(b, 1);
+  bound.deliver(1);
+  // [1, 5] holds no down slot: skipped. [1, 9] holds party 3's crash, which
+  // could wipe a coverage before the pop: shipped.
+  bound.net.inject(b, 1, 5);
+  EXPECT_EQ(bound.net.pending(1), 0u);
+  bound.net.inject(b, 1, 9);
+  EXPECT_EQ(bound.net.pending(1), 1u);
+  bound.net.inject_all(b, 9);
+  EXPECT_EQ(bound.pending(), (std::vector<std::size_t>{1, 2, 1, 1}));
+}
+
+TEST(RedeliveryElision, AVisibleSlotBeforeTheLatestCollectStillCountsItsDrop) {
+  faults::FaultPlan plan;
+  plan.churn.push_back({3, 2, 3});  // party 3 is down at slot 2 only
+  faults::FaultInjector inj(plan, 4, 16);
+  BoundNetwork bound(4, ring(), &inj);
+  const Block b = test_block(1, 1, kAdversary);
+  bound.pool.add(b);
+  bound.net.inject_all(b, 1);
+  bound.deliver(1);
+  bound.deliver(5);
+  // Visible at slot 2, already past: the down test spans [2, 5], so the
+  // injection is not skipped and party 3's drop is counted as before.
+  bound.net.inject_all(b, 2);
+  EXPECT_EQ(inj.stats().ships_dropped, 1u);
+  EXPECT_EQ(bound.pending(), (std::vector<std::size_t>{1, 1, 1, 0}));
+}
+
+TEST(RedeliveryElision, ATamperedCopyUnderAHeldHashShipsAsBefore) {
+  for (const NetConfig& cfg : {NetConfig::degenerate(), ring()}) {
+    BoundNetwork bound(4, cfg);
+    const Block b = test_block(1, 1, kAdversary);
+    bound.pool.add(b);
+    bound.net.inject_all(b, 1);
+    bound.deliver(1);
+    Block tampered = b;
+    tampered.payload ^= 0xbad;
+    bound.net.inject_all(tampered, 2);
+    bound.net.inject(tampered, 0, 2);
+    EXPECT_EQ(bound.pending(), (std::vector<std::size_t>{2, 1, 1, 1}))
+        << "heterogeneous: " << cfg.heterogeneous();
+    const auto got = bound.deliver(2);
+    EXPECT_EQ(got[0], (std::vector<Block>{tampered, tampered}));
+    for (PartyId p = 1; p < 4; ++p) EXPECT_EQ(got[p], std::vector<Block>{tampered});
+  }
+}
+
+TEST(RedeliveryElision, ATamperedCopyInternedFirstIsNeverSkipped) {
+  // The copy that first reaches the network is the hash's canonical id; when
+  // it is not the pooled block, holding the hash does not make it a no-op.
+  for (const NetConfig& cfg : {NetConfig::degenerate(), ring()}) {
+    BoundNetwork bound(4, cfg);
+    const Block b = test_block(1, 1, kAdversary);
+    bound.pool.add(b);
+    Block tampered = b;
+    tampered.payload ^= 0xbad;
+    bound.net.inject_all(tampered, 1);
+    bound.deliver(1);
+    for (HonestNode& node : bound.nodes) node.receive(b);
+    bound.net.inject(tampered, 0, 2);
+    bound.net.inject_all(tampered, 2);
+    EXPECT_EQ(bound.pending(), (std::vector<std::size_t>{2, 1, 1, 1}))
+        << "heterogeneous: " << cfg.heterogeneous();
+  }
+}
+
+TEST(RedeliveryElision, AnUnboundNetworkShipsEveryPush) {
+  Network net(3, 0);
+  const Block b = test_block(1, 1, kAdversary);
+  net.inject_all(b, 1);
+  for (PartyId p = 0; p < 3; ++p) drain(net, p, 1);
+  net.inject_all(b, 2);
+  for (PartyId p = 0; p < 3; ++p) EXPECT_EQ(net.pending(p), 1u);
+}
+
+// ---------------------------------------------------------------------------
 // The façade equivalence contract
 // ---------------------------------------------------------------------------
 
