@@ -445,14 +445,14 @@ void Network::inject_all(const Block& block, std::size_t visible_slot) {
   // A block some view lacks ships to everyone, as always; one every view
   // holds gets no lane entry at all.
   const bool elide = elidable(id, visible_slot) && all_views_hold(id);
+  if (elide)
+    MH_OBS_COUNT("protocol.net.republish_elided", parties_);
+  else
+    MH_OBS_COUNT("protocol.net.blocks_shipped", parties_);
   if (hetero_) {
     // Elision has ruled out a party down at visible_slot (no drop to count),
     // and every coverage already holds the block: nothing is left to do.
-    if (elide) {
-      MH_OBS_COUNT("protocol.net.republish_elided", parties_);
-      return;
-    }
-    MH_OBS_COUNT("protocol.net.blocks_shipped", parties_);
+    if (elide) return;
     for (PartyId r = 0; r < parties_; ++r) {
       if (faulted && faults_->is_down(r, visible_slot)) {
         ++faults_->stats().ships_dropped;
@@ -468,15 +468,10 @@ void Network::inject_all(const Block& block, std::size_t visible_slot) {
   // carries the coverage — per-recipient entries would be strictly redundant.
   // A fault window disables it: a down recipient's ship is dropped.
   const bool all_covered = !faulted && covered_all(block.parent, visible_slot);
-  if (elide && all_covered) {
+  if (elide && all_covered) {  // no recipient needs a visit
     record(sent_all_, block.hash, visible_slot);
-    MH_OBS_COUNT("protocol.net.republish_elided", parties_);
     return;
   }
-  if (elide)
-    MH_OBS_COUNT("protocol.net.republish_elided", parties_);
-  else
-    MH_OBS_COUNT("protocol.net.blocks_shipped", parties_);
   for (PartyId r = 0; r < parties_; ++r) {
     if (faulted && faults_->is_down(r, visible_slot)) {
       ++faults_->stats().ships_dropped;
