@@ -189,17 +189,11 @@ void RandomizedAdversary::on_slot_begin(std::size_t slot, Simulation& sim) {
     case 1: {
       const PartyId victim = static_cast<PartyId>(rng_.below(sim.nodes().size()));
       const std::size_t visible = slot + rng_.below(delta + 1);
-      for (BlockHash h : sim.global_tree().chain(block.hash))
-        if (h != genesis_block().hash)
-          sim.network().inject(sim.global_tree().block(h), victim, visible);
+      sim.network().publish_chain(sim.global_tree(), block.hash, visible, victim);
       break;
     }
-    default: {
-      const std::size_t visible = slot + rng_.below(delta + 1);
-      for (BlockHash h : sim.global_tree().chain(block.hash))
-        if (h != genesis_block().hash)
-          sim.network().inject_all(sim.global_tree().block(h), visible);
-    }
+    default:
+      sim.network().publish_chain(sim.global_tree(), block.hash, slot + rng_.below(delta + 1));
   }
 }
 

@@ -93,31 +93,6 @@ LeaderSchedule LeaderSchedule::from_tetra_law(const TetraLaw& law, std::size_t h
   return LeaderSchedule(std::move(slots), honest_parties);
 }
 
-LeaderSchedule LeaderSchedule::praos_lottery(double f, double adversarial_stake,
-                                             std::size_t honest_parties, std::size_t horizon,
-                                             Rng& rng) {
-  MH_REQUIRE(f > 0.0 && f < 1.0);
-  MH_REQUIRE(adversarial_stake >= 0.0 && adversarial_stake < 1.0);
-  MH_REQUIRE(honest_parties >= 2);
-  const double honest_share = (1.0 - adversarial_stake) / static_cast<double>(honest_parties);
-  // phi(share) = 1 - (1-f)^share via expm1/log1p: the naive 1 - pow(...) form
-  // cancels to ~half the significant digits once share ~ 1/n is small (the
-  // 10^5-party committee regime pinned in CI).
-  const double p_honest = consensus::phi(f, honest_share);
-  const double p_adv = consensus::phi(f, adversarial_stake);
-
-  std::vector<SlotLeaders> slots;
-  slots.reserve(horizon);
-  for (std::size_t t = 0; t < horizon; ++t) {
-    SlotLeaders leaders;
-    for (PartyId p = 0; p < honest_parties; ++p)
-      if (rng.bernoulli(p_honest)) leaders.honest.push_back(p);
-    leaders.adversarial = rng.bernoulli(p_adv);
-    slots.push_back(std::move(leaders));
-  }
-  return LeaderSchedule(std::move(slots), honest_parties);
-}
-
 TetraLaw LeaderSchedule::praos_induced_law(double f, double adversarial_stake,
                                            std::size_t honest_parties) {
   MH_REQUIRE(f > 0.0 && f < 1.0);

@@ -77,14 +77,11 @@ class LeaderSchedule : public ScheduleSource {
   static LeaderSchedule from_tetra_law(const TetraLaw& law, std::size_t horizon,
                                        std::size_t honest_parties, Rng& rng);
 
-  /// Party-level Praos lottery: `honest_parties` parties of equal relative
-  /// stake (1 - adversarial_stake) / honest_parties, plus one coalition with
-  /// `adversarial_stake`; per-slot win probability phi(s) = 1 - (1-f)^s.
-  static LeaderSchedule praos_lottery(double f, double adversarial_stake,
-                                      std::size_t honest_parties, std::size_t horizon,
-                                      Rng& rng);
-
-  /// The induced i.i.d. law of the Praos lottery above (analytic). Evaluated
+  /// The induced i.i.d. law of the Praos lottery (analytic): `honest_parties`
+  /// parties of equal relative stake (1 - adversarial_stake) / honest_parties,
+  /// plus one coalition with `adversarial_stake`; per-slot win probability
+  /// phi(s) = 1 - (1-f)^s (consensus::SlotLeaderSelection over
+  /// consensus::StakeRegistry::uniform draws it). Evaluated
   /// through expm1/log1p so the small-share regime (share ~ 1/n at committee
   /// scale) keeps full double precision — 1 - pow(1-f, share) loses half the
   /// significant digits there.

@@ -129,13 +129,6 @@ void Network::bind_views(std::span<const HonestNode> nodes) {
   views_ = nodes;
 }
 
-bool Network::elidable(BlockId id, std::size_t due) const {
-  if (views_.empty() || interned_.canonical(id) != id) return false;
-  if (!hetero_) return true;
-  return id < covered_by_.size() && covered_by_[id] == parties_ &&
-         (faults_ == nullptr || !faults_->any_down(std::min(due, now_), std::max(due, now_)));
-}
-
 bool Network::view_holds(PartyId recipient, BlockId id) {
   if (held_.size() <= id) held_.resize(interned_.size());
   Held& held = held_[id];
@@ -146,15 +139,60 @@ bool Network::view_holds(PartyId recipient, BlockId id) {
   if (!view.contains(block.hash)) return false;
   if (held.copy == Held::Copy::Unchecked)
     held.copy = view.block(block.hash) == block ? Held::Copy::Pooled : Held::Copy::Foreign;
-  return held.copy == Held::Copy::Pooled;
+  if (held.copy != Held::Copy::Pooled) return false;
+  // Views only grow: the next holder extends the prefix.
+  if (recipient == held.prefix) ++held.prefix;
+  return true;
 }
 
 bool Network::all_views_hold(BlockId id) {
   // Views only grow, so the holder prefix only advances: a call costs O(1)
   // amortized — one failed test, plus advances that total P per id.
+  // view_holds advances the prefix past each holder it finds.
   if (held_.size() <= id) held_.resize(interned_.size());
-  while (held_[id].prefix < parties_ && view_holds(held_[id].prefix, id)) ++held_[id].prefix;
+  while (held_[id].prefix < parties_ && view_holds(held_[id].prefix, id)) {
+  }
   return held_[id].prefix == parties_;
+}
+
+const Network::NearDown& Network::near_down(std::size_t visible_slot) {
+  const std::size_t lo = std::min(visible_slot, now_), hi = std::max(visible_slot, now_);
+  NearDown& near = near_down_;
+  if (near.lo == lo && near.hi == hi) return near;
+  near.lo = lo;
+  near.hi = hi;
+  near.any = faults_ != nullptr && faults_->any_down(lo, hi);
+  if (!near.any) return near;
+  std::vector<std::uint8_t> down(parties_);
+  for (PartyId n = 0; n < parties_; ++n) down[n] = faults_->down_in_window(n, lo, hi) ? 1 : 0;
+  near.flag.assign(parties_, 0);
+  for (PartyId r = 0; r < parties_; ++r)
+    topology_.for_each_neighbor(r, [&](PartyId n) { near.flag[r] |= down[n]; });
+  return near;
+}
+
+bool Network::relays_nothing(PartyId victim, BlockId id, std::size_t visible_slot) {
+  if (near_down(visible_slot)[victim]) return false;
+  if (id < covered_by_.size() && covered_by_[id] == parties_) return true;
+  bool covered = true;
+  topology_.for_each_neighbor(victim,
+                              [&](PartyId n) { covered = covered && coverage_[n].test(id); });
+  return covered;
+}
+
+bool Network::settled(BlockHash hash, std::size_t visible_slot) const {
+  const BlockId id = interned_.find(hash);
+  return id < settled_.size() && settled_[id] == epoch_ &&
+         (hetero_ || covered_all(hash, visible_slot));
+}
+
+bool Network::settle(BlockHash hash) {
+  const BlockId id = interned_.find(hash);  // kNoId if every injection was dropped
+  if (id == net::InternTable::kNoId || !all_views_hold(id)) return false;
+  if (hetero_ && (id >= covered_by_.size() || covered_by_[id] != parties_)) return false;
+  if (settled_.size() <= id) settled_.resize(interned_.size(), 0);
+  settled_[id] = epoch_;
+  return true;
 }
 
 // --- heterogeneous (event-core gossip) path --------------------------------
@@ -420,7 +458,8 @@ void Network::inject(const Block& block, PartyId recipient, std::size_t visible_
     return;
   }
   const BlockId id = interned_.intern(block);
-  if (elidable(id, visible_slot) && view_holds(recipient, id)) {
+  if (elidable(id) && view_holds(recipient, id) &&
+      (!hetero_ || relays_nothing(recipient, id, visible_slot))) {
     MH_OBS_COUNT("protocol.net.republish_elided", 1);
   } else {
     MH_OBS_COUNT("protocol.net.blocks_shipped", 1);
@@ -442,28 +481,41 @@ void Network::inject_all(const Block& block, std::size_t visible_slot) {
                      " block cannot be visible at slot " + std::to_string(visible_slot));
   const bool faulted = fault_window(visible_slot);
   const BlockId id = interned_.intern(block);
-  // A block some view lacks ships to everyone, as always; one every view
-  // holds gets no lane entry at all.
-  const bool elide = elidable(id, visible_slot) && all_views_hold(id);
-  if (elide)
-    MH_OBS_COUNT("protocol.net.republish_elided", parties_);
-  else
-    MH_OBS_COUNT("protocol.net.blocks_shipped", parties_);
   if (hetero_) {
-    // Elision has ruled out a party down at visible_slot (no drop to count),
-    // and every coverage already holds the block: nothing is left to do.
-    if (elide) return;
+    // The call covers every party up at visible_slot, so a holder's pop
+    // relays nothing unless one of its out-neighbors may be down by then.
+    const bool elidable_id = elidable(id);
+    const NearDown& near = near_down(visible_slot);
+    // The O(1) special case: nobody is down (so no drop to count), and every
+    // view and every coverage already holds the block.
+    if (elidable_id && !near.any && id < covered_by_.size() && covered_by_[id] == parties_ &&
+        all_views_hold(id)) {
+      MH_OBS_COUNT("protocol.net.republish_elided", parties_);
+      return;
+    }
+    MH_OBS_ONLY(std::size_t elided = 0;)
     for (PartyId r = 0; r < parties_; ++r) {
       if (faulted && faults_->is_down(r, visible_slot)) {
         ++faults_->stats().ships_dropped;
         MH_OBS_COUNT("protocol.faults.ships_dropped", 1);
         continue;
       }
-      push(r, id, visible_slot);
+      const bool skip = elidable_id && !near[r] && view_holds(r, id);
+      if (!skip) push(r, id, visible_slot);
+      MH_OBS_ONLY(elided += skip ? 1 : 0;)
       cover(r, id);
     }
+    MH_OBS_COUNT("protocol.net.republish_elided", elided);
+    MH_OBS_COUNT("protocol.net.blocks_shipped", parties_ - elided);
     return;
   }
+  // A block some view lacks ships to everyone, as always; one every view
+  // holds gets no lane entry at all.
+  const bool elide = elidable(id) && all_views_hold(id);
+  if (elide)
+    MH_OBS_COUNT("protocol.net.republish_elided", parties_);
+  else
+    MH_OBS_COUNT("protocol.net.blocks_shipped", parties_);
   // When the parent is covered for everyone, the all-recipient record alone
   // carries the coverage — per-recipient entries would be strictly redundant.
   // A fault window disables it: a down recipient's ship is dropped.
@@ -485,6 +537,43 @@ void Network::inject_all(const Block& block, std::size_t visible_slot) {
   if (all_covered) record(sent_all_, block.hash, visible_slot);
 }
 
+void Network::publish_chain(const BlockTree& tree, BlockHash tip, std::size_t visible_slot,
+                            PartyId recipient) {
+  const bool everyone = recipient == kEveryone;
+  MH_REQUIRE_MSG(everyone || recipient < parties_,
+                 "publication for unknown party " + std::to_string(recipient) +
+                     " (network has " + std::to_string(parties_) + " parties)");
+  // When may the walk stop at a settled ancestor? (See the header.)
+  bool may_stop = !views_.empty();
+  if (hetero_)
+    may_stop = may_stop && !near_down(visible_slot).any;
+  else if (everyone)
+    may_stop = may_stop && !fault_window(visible_slot);
+  else
+    may_stop = may_stop && (faults_ == nullptr || faults_->plan().churn.empty());
+  lift_scratch_.clear();
+  BlockHash h = tip;
+  for (; h != genesis_block().hash; h = tree.block(h).parent) {
+    if (may_stop && settled(h, visible_slot)) break;
+    lift_scratch_.push_back(h);
+  }
+  // Every block from genesis to the stop is a call that adds no lane entry.
+  MH_OBS_COUNT("protocol.net.republish_elided", tree.length(h) * (everyone ? parties_ : 1));
+  for (std::size_t i = lift_scratch_.size(); i-- > 0;) {
+    const Block& block = tree.block(lift_scratch_[i]);
+    if (everyone)
+      inject_all(block, visible_slot);
+    else
+      inject(block, recipient, visible_slot);
+  }
+  if (views_.empty()) return;
+  // The post-call pass, ancestors first: the deepest walked block's parent is
+  // the stop (settled) or genesis, and a block whose parent is not settled
+  // cannot be either.
+  for (std::size_t i = lift_scratch_.size(); i-- > 0;)
+    if (!settle(lift_scratch_[i])) break;
+}
+
 void Network::crash_recipient(PartyId recipient) {
   MH_REQUIRE_MSG(recipient < parties_,
                  "crash for unknown party " + std::to_string(recipient) +
@@ -502,6 +591,7 @@ void Network::crash_recipient(PartyId recipient) {
       for (std::uint64_t bits = words[w]; bits != 0; bits &= bits - 1, ++invalidated)
         --covered_by_[w * 64 + static_cast<std::size_t>(std::countr_zero(bits))];
     coverage_[recipient] = Coverage{};
+    ++epoch_;  // every chain-settled mark claimed this coverage
   }
   if (faults_ != nullptr) faults_->stats().watermarks_invalidated += invalidated;
   MH_OBS_COUNT("protocol.faults.watermarks_invalidated", invalidated);

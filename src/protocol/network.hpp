@@ -56,25 +56,55 @@
 // No-op re-delivery elision: a party's state is its block tree, so handing it
 // a block it already holds changes nothing (adding a present block to a tree
 // is the identity). The adversary re-publishes whole chains, so inject and
-// inject_all skip every lane entry whose pop is provably a no-op. With the
+// inject_all skip every lane entry whose pop is provably a no-op, and
+// publish_chain skips every call made of such entries alone. With the
 // recipients' views bound (bind_views; the Simulation binds its nodes), a
 // push of block b to recipient r due at v is a no-op when
 //   (i)  r's view holds b's hash and b is the pooled copy of it. Views only
 //        grow and a crash keeps the tree, so receive() returns Duplicate at
-//        any later pop; a tampered copy is never skipped;
-//   (ii) heterogeneous mode only: every party's coverage holds b's canonical
-//        id, and no party is down at any slot between now (the latest collect
-//        slot) and v, both included. Coverage shrinks only through
-//        crash_recipient, which the fault layer applies only to a party down
-//        at that slot, so the pop's relay finds every neighbor covered and
-//        sends nothing.
+//        any later pop; a tampered copy is never skipped. Lockstep inject_all
+//        asks this of every view (a block one view lacks ships to all);
+//   (ii) heterogeneous mode only: r's pop relays nothing, because every
+//        out-neighbor of r is covered for b at the pop. No out-neighbor of r
+//        may be down at any slot between now (the latest collect slot) and v,
+//        both included: coverage shrinks only through crash_recipient, which
+//        the fault layer applies only to a party down at that slot. inject_all
+//        itself covers every party up at v, so it needs no more; inject also
+//        needs every out-neighbor of the victim covered already. The
+//        Simulation collects every up party at every slot, after its
+//        adversary injected at v >= the slot, so the pop is at v.
 // Skipping an entry keeps the relative order of the rest of its lane, and
 // link verdicts and latency draws are keyed (slot, sender, recipient), so no
 // stream shifts. Everything else a push does stays: interning, coverage, the
-// drop count for down recipients, and the lockstep watermark records. Both
-// tests are O(1) amortized per call: "every party holds it" is a per-id
-// prefix of holders that only advances, coverage is counted per id, and the
-// down test is one FaultInjector::any_down query.
+// drop count for down recipients, and the lockstep watermark records. "Every
+// view holds it" is a per-id prefix of holders that only advances; the
+// parties with an out-neighbor down in [min(v, now), max(v, now)] depend only
+// on the static plan and that range, so they are computed once per range.
+//
+// publish_chain walks from the tip toward genesis and stops at the first
+// ancestor a whose call, and every deeper ancestor's, is provably a no-op;
+// the walked suffix is then injected ancestors-first, the full loop's order.
+// A tree admits only intact headers, so the block a skipped call would inject
+// is the pooled copy of its hash. Ids are marked in a pass after the calls;
+// the stop needs a's mark:
+//   * gossip: a is chain-settled — the pooled canonical copy, held by every
+//     view, covered_by_ == parties, and its parent chain-settled — and no
+//     party is down in [min(v, now), max(v, now)]. Every view and coverage
+//     then holds a and each ancestor, nobody's out-neighbor is down and no
+//     drop can be counted, so each call skips every push and covers nothing
+//     new. Coverage shrinks only in crash_recipient, which bumps the epoch
+//     that stamps the marks, so a crash invalidates every mark;
+//   * lockstep: a is chain-held — the pooled canonical copy, held by every
+//     view, its parent chain-held; views only grow, so this never expires —
+//     and covered_all(a, v). sent_all_ is ancestry-monotone: every record
+//     site requires the parent covered_all at the same due, and a crash
+//     clears the whole map, so every ancestor is covered_all at v too. To
+//     everyone, with no fault window at v, each ancestor's inject_all takes
+//     the all-covered path and its record changes nothing. To one victim,
+//     the plan must never crash anyone (no injector, or no churn): then
+//     is_down never drops, the push is skipped by (i), and the skipped
+//     record_recipient is redundant with covered_all, which never clears —
+//     while a crash would count the entries it adds in watermarks_invalidated.
 #pragma once
 
 #include <cstddef>
@@ -113,7 +143,10 @@ class Network {
   /// Attach (or detach, with nullptr) the fault layer. The injector is
   /// consulted on every send and outlives the Network (the Simulation owns
   /// neither; the caller guarantees lifetime).
-  void attach_faults(faults::FaultInjector* faults) noexcept { faults_ = faults; }
+  void attach_faults(faults::FaultInjector* faults) noexcept {
+    faults_ = faults;
+    near_down_ = {};
+  }
   [[nodiscard]] faults::FaultInjector* fault_injector() const noexcept { return faults_; }
 
   /// Bind the recipients' views, one node per party in PartyId order, which
@@ -152,6 +185,18 @@ class Network {
 
   /// Adversarial injection to everyone at the given slot.
   void inject_all(const Block& block, std::size_t visible_slot);
+
+  /// publish_chain's recipient for an injection to everyone.
+  static constexpr PartyId kEveryone = ~PartyId{0};
+
+  /// Adversarial re-publication of the chain of `tip` in `tree`: the lane
+  /// entries, drops and records of inject (to `recipient`) or inject_all
+  /// (kEveryone) of every non-genesis block from genesis up to `tip`, at
+  /// `visible_slot`, in that order. Walks only the suffix above the first
+  /// ancestor whose calls are provably no-ops (see above): O(suffix) once
+  /// the chain's prefix is settled.
+  void publish_chain(const BlockTree& tree, BlockHash tip, std::size_t visible_slot,
+                     PartyId recipient = kEveryone);
 
   /// Crash `recipient`: its undelivered queue, chain-sync watermarks, and
   /// coverage are volatile endpoint state and are lost. The
@@ -251,14 +296,35 @@ class Network {
     if (covered_by_.size() <= canonical) covered_by_.resize(interned_.size(), 0);
     ++covered_by_[canonical];
   }
-  /// The recipient-independent half of the no-op test for pushes of `id` due
-  /// at `due`: views are bound, `id` is its hash's canonical copy, and in
-  /// heterogeneous mode (ii) holds.
-  [[nodiscard]] bool elidable(BlockId id, std::size_t due) const;
+  /// May a push of `id` be skipped at all? Views are bound and `id` is its
+  /// hash's canonical copy.
+  [[nodiscard]] bool elidable(BlockId id) const {
+    return !views_.empty() && interned_.canonical(id) == id;
+  }
   /// Test (i) for one recipient; `id` is canonical.
   bool view_holds(PartyId recipient, BlockId id);
   /// Test (i) for every recipient, memoized; `id` is canonical.
   bool all_views_hold(BlockId id);
+  /// Parties with an out-neighbor down at some slot of [lo, hi] (gossip
+  /// mode), for the latest range asked.
+  struct NearDown {
+    std::size_t lo = 1, hi = 0;  ///< the range cached (empty: none yet)
+    bool any = false;            ///< is anybody down in the range?
+    std::vector<std::uint8_t> flag;  ///< per party; sized only when `any`
+    [[nodiscard]] bool operator[](PartyId r) const { return any && flag[r] != 0; }
+  };
+  /// The NearDown of [min(visible, now_), max(visible, now_)]; recomputed
+  /// only when that range moves.
+  const NearDown& near_down(std::size_t visible_slot);
+  /// Test (ii) for inject's victim: a pop of canonical `id` by `victim` at
+  /// `visible_slot` relays nothing.
+  bool relays_nothing(PartyId victim, BlockId id, std::size_t visible_slot);
+  /// May publish_chain stop at `hash`? Its id is marked for this epoch and,
+  /// in lockstep mode, covered_all at `visible_slot`.
+  [[nodiscard]] bool settled(BlockHash hash, std::size_t visible_slot) const;
+  /// Mark `hash` chain-settled (gossip) or chain-held (lockstep) if it now
+  /// is; the caller has checked its parent is. Returns whether it was marked.
+  bool settle(BlockHash hash);
   /// Shipping counters are aggregated at the broadcast/inject call sites (one
   /// add per round, not per push): push() runs millions of times per
   /// execution and a per-push hook alone costs ~2% wall-clock on the E14
@@ -309,6 +375,10 @@ class Network {
   std::vector<std::uint32_t> covered_by_;    ///< per canonical id: coverages holding it
   std::span<const HonestNode> views_;        ///< the recipients' trees (empty = unbound)
   std::vector<Held> held_;                   ///< per canonical id (bound views only)
+  /// Per canonical id: the epoch it was last marked settled in (0 = never).
+  std::vector<std::uint32_t> settled_;
+  std::uint32_t epoch_ = 1;  ///< bumped by every gossip-mode crash
+  NearDown near_down_;
   std::size_t now_ = 0;                      ///< latest collect slot (hetero only)
   struct Egress {
     std::size_t slot = 0;

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "protocol/consensus/leader_select.hpp"
+#include "protocol/consensus/stake.hpp"
 #include "support/stats.hpp"
 
 namespace mh {
@@ -70,16 +71,26 @@ TEST(Leader, TetraScheduleMayHaveEmptySlots) {
   EXPECT_THROW(schedule.characteristic_sync(), std::invalid_argument);
 }
 
+/// The consensus layer's stake lottery over a uniform registry (one epoch,
+/// nonce 0): the characteristic string of the realized schedule.
+TetraString uniform_lottery(double f, double adversarial_stake, std::size_t parties,
+                            std::size_t horizon, std::uint64_t seed) {
+  const consensus::SlotLeaderSelection lottery(f, seed);
+  const consensus::StakeRegistry registry =
+      consensus::StakeRegistry::uniform(parties, adversarial_stake);
+  std::vector<SlotLeaders> slots;
+  slots.reserve(horizon);
+  for (std::size_t t = 1; t <= horizon; ++t) slots.push_back(lottery.draw_slot(0, t, registry));
+  return LeaderSchedule(std::move(slots), parties).characteristic();
+}
+
 TEST(Leader, PraosLotteryInducedLawMatchesEmpirical) {
   const double f = 0.3, adv_stake = 0.25;
   const std::size_t parties = 6;
   const TetraLaw predicted = LeaderSchedule::praos_induced_law(f, adv_stake, parties);
-  Rng rng(14);
   std::array<std::size_t, 4> counts{};  // Bot, h, H, A
   const std::size_t horizon = 60'000;
-  const LeaderSchedule schedule = LeaderSchedule::praos_lottery(f, adv_stake, parties,
-                                                                horizon, rng);
-  const TetraString w = schedule.characteristic();
+  const TetraString w = uniform_lottery(f, adv_stake, parties, horizon, 14);
   for (std::size_t t = 1; t <= horizon; ++t) ++counts[static_cast<std::size_t>(w.at(t))];
   const std::array<double, 4> expected{predicted.pBot, predicted.ph, predicted.pH,
                                        predicted.pA};
@@ -189,10 +200,7 @@ TEST(Leader, PraosLotteryWithinClopperPearsonBands) {
   const double f = 0.25, adv_stake = 0.2;
   const std::size_t parties = 8, horizon = 10'000;
   const TetraLaw predicted = LeaderSchedule::praos_induced_law(f, adv_stake, parties);
-  Rng rng(20);
-  const LeaderSchedule schedule =
-      LeaderSchedule::praos_lottery(f, adv_stake, parties, horizon, rng);
-  const TetraString w = schedule.characteristic();
+  const TetraString w = uniform_lottery(f, adv_stake, parties, horizon, 20);
   std::array<std::size_t, 4> counts{};
   for (std::size_t t = 1; t <= horizon; ++t) ++counts[static_cast<std::size_t>(w.at(t))];
   const std::array<double, 4> masses{predicted.pBot, predicted.ph, predicted.pH,

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <queue>
+#include <random>
 #include <set>
 #include <string>
 
@@ -568,14 +569,22 @@ TEST(RedeliveryElision, ABlockOneNodeLacksStillShipsToEveryParty) {
     bound.net.inject_all(b, 1);
     for (PartyId p : {0u, 1u, 3u}) EXPECT_EQ(drain(bound.net, p, 1).size(), 1u);
     for (PartyId p : {0u, 1u, 3u}) bound.nodes[p].receive(b);
-    // Party 2 has not been handed its copy yet: a re-publish ships to all.
+    // Party 2 has not been handed its copy yet: a re-publish ships it a
+    // second one. Lockstep ships to all while one view lacks the block; the
+    // gossip holders' pops would relay nothing (every neighbor is covered
+    // and up), so only party 2 gets a lane entry there.
     bound.net.inject_all(b, 2);
-    EXPECT_EQ(bound.pending(), (std::vector<std::size_t>{1, 1, 2, 1}))
-        << "heterogeneous: " << cfg.heterogeneous();
+    const std::vector<std::size_t> republished =
+        cfg.heterogeneous() ? std::vector<std::size_t>{0, 0, 2, 0}
+                            : std::vector<std::size_t>{1, 1, 2, 1};
+    EXPECT_EQ(bound.pending(), republished) << "heterogeneous: " << cfg.heterogeneous();
     // A single-recipient injection checks only that recipient's view.
     bound.net.inject(b, 0, 2);
     bound.net.inject(b, 2, 2);
-    EXPECT_EQ(bound.pending(), (std::vector<std::size_t>{1, 1, 3, 1}));
+    std::vector<std::size_t> injected = republished;
+    ++injected[2];
+    EXPECT_EQ(bound.pending(), injected) << "heterogeneous: " << cfg.heterogeneous();
+    EXPECT_EQ(bound.deliver(2)[2], (std::vector<Block>{b, b, b}));
   }
 }
 
@@ -613,13 +622,16 @@ TEST(RedeliveryElision, APartyDownBeforeTheDueBlocksTheSkip) {
   bound.net.inject_all(b, 1);
   bound.deliver(1);
   // [1, 5] holds no down slot: skipped. [1, 9] holds party 3's crash, which
-  // could wipe a coverage before the pop: shipped.
-  bound.net.inject(b, 1, 5);
-  EXPECT_EQ(bound.net.pending(1), 0u);
+  // could wipe its coverage before the pop: the pushes to its ring
+  // in-neighbors 0 and 2 ship, party 1's (out-neighbors 0 and 2) does not.
+  bound.net.inject(b, 2, 5);
+  EXPECT_EQ(bound.net.pending(2), 0u);
   bound.net.inject(b, 1, 9);
-  EXPECT_EQ(bound.net.pending(1), 1u);
+  EXPECT_EQ(bound.net.pending(1), 0u);
+  bound.net.inject(b, 2, 9);
+  EXPECT_EQ(bound.net.pending(2), 1u);
   bound.net.inject_all(b, 9);
-  EXPECT_EQ(bound.pending(), (std::vector<std::size_t>{1, 2, 1, 1}));
+  EXPECT_EQ(bound.pending(), (std::vector<std::size_t>{1, 0, 2, 0}));
 }
 
 TEST(RedeliveryElision, AVisibleSlotBeforeTheLatestCollectStillCountsItsDrop) {
@@ -632,11 +644,121 @@ TEST(RedeliveryElision, AVisibleSlotBeforeTheLatestCollectStillCountsItsDrop) {
   bound.net.inject_all(b, 1);
   bound.deliver(1);
   bound.deliver(5);
-  // Visible at slot 2, already past: the down test spans [2, 5], so the
-  // injection is not skipped and party 3's drop is counted as before.
+  // Visible at slot 2, already past: the down test spans [2, 5], so party
+  // 3's drop is counted as before, and its ring in-neighbors 0 and 2 keep
+  // their pushes.
   bound.net.inject_all(b, 2);
   EXPECT_EQ(inj.stats().ships_dropped, 1u);
-  EXPECT_EQ(bound.pending(), (std::vector<std::size_t>{1, 1, 1, 0}));
+  EXPECT_EQ(bound.pending(), (std::vector<std::size_t>{1, 0, 1, 0}));
+}
+
+TEST(RedeliveryElision, AHolderWithADownOutNeighborKeepsItsPush) {
+  faults::FaultPlan plan;
+  plan.churn.push_back({2, 3, 5});  // party 2 is down over [3, 5)
+  faults::FaultInjector inj(plan, 4, 16);
+  BoundNetwork bound(4, ring(), &inj);
+  const Block b = test_block(1, 1, kAdversary);
+  bound.pool.add(b);
+  bound.net.inject_all(b, 1);
+  bound.deliver(1);
+  bound.deliver(2);
+  bound.net.crash_recipient(2);  // the slot-3 crash wipes party 2's coverage
+  bound.net.inject_all(b, 3);
+  EXPECT_EQ(inj.stats().ships_dropped, 1u);  // party 2 is down at slot 3
+  // Every view holds b; party 0's out-neighbors stay up, but 1 and 3 relay
+  // to party 2, so their pops are not no-ops.
+  EXPECT_EQ(bound.pending(), (std::vector<std::size_t>{0, 1, 0, 1}));
+  // Party 1's pop relays toward the still-uncovered, down party 2: a drop the
+  // skipped push would have lost.
+  EXPECT_EQ(drain(bound.net, 1, 3), std::vector<Block>{b});
+  EXPECT_EQ(inj.stats().ships_dropped, 2u);
+}
+
+TEST(RedeliveryElision, AnInjectVictimWithAnUncoveredOutNeighborKeepsItsPush) {
+  BoundNetwork bound(4, ring());
+  const Block b = test_block(1, 1, kAdversary);
+  bound.pool.add(b);
+  bound.nodes[0].receive(b);  // party 0 holds b, but no coverage does
+  bound.net.inject(b, 0, 1);
+  EXPECT_EQ(bound.pending(), (std::vector<std::size_t>{1, 0, 0, 0}));
+  // The pop is a duplicate for party 0, but it relays b to neighbors 1 and
+  // 3, who relay it on to party 2.
+  EXPECT_EQ(bound.deliver(1)[0], std::vector<Block>{b});
+  EXPECT_EQ(bound.pending(), (std::vector<std::size_t>{0, 1, 0, 1}));
+  bound.deliver(2);
+  EXPECT_EQ(bound.deliver(3)[2], std::vector<Block>{b});
+  // Every neighbor of party 0 is covered now: the same injection is a no-op.
+  bound.net.inject(b, 0, 4);
+  EXPECT_EQ(bound.pending(), std::vector<std::size_t>(4, 0));
+}
+
+/// A two-block chain, b1 <- b2, in the pool.
+std::pair<Block, Block> pooled_chain(BoundNetwork& bound) {
+  const Block b1 = test_block(1, 1, kAdversary);
+  const Block b2 = make_block(b1.hash, 2, kAdversary, 2);
+  bound.pool.add(b1);
+  bound.pool.add(b2);
+  return {b1, b2};
+}
+
+TEST(RedeliveryElision, PublishChainShipsWhatTheFullLoopShips) {
+  for (const NetConfig& cfg : {NetConfig::degenerate(), ring()}) {
+    BoundNetwork bound(4, cfg);
+    const auto [b1, b2] = pooled_chain(bound);
+    bound.net.publish_chain(bound.pool, b2.hash, 2, 1);
+    EXPECT_EQ(bound.pending(), (std::vector<std::size_t>{0, 2, 0, 0}));
+    bound.net.publish_chain(bound.pool, b2.hash, 2);
+    EXPECT_EQ(bound.pending(), (std::vector<std::size_t>{2, 4, 2, 2}));
+    for (const auto& got : bound.deliver(2))
+      EXPECT_EQ(got.front(), b1) << "ancestors first; heterogeneous: " << cfg.heterogeneous();
+    // Every view holds the chain and every coverage too: settled.
+    bound.net.publish_chain(bound.pool, b2.hash, 3);
+    bound.net.publish_chain(bound.pool, b2.hash, 3, 2);
+    EXPECT_EQ(bound.pending(), std::vector<std::size_t>(4, 0));
+  }
+}
+
+TEST(RedeliveryElision, ACrashInvalidatesTheChainSettledStop) {
+  faults::FaultPlan plan;
+  plan.churn.push_back({2, 3, 4});  // party 2 is down at slot 3 only
+  faults::FaultInjector inj(plan, 4, 16);
+  BoundNetwork bound(4, ring(), &inj);
+  const auto [b1, b2] = pooled_chain(bound);
+  bound.net.publish_chain(bound.pool, b2.hash, 2);
+  bound.deliver(2);
+  bound.net.publish_chain(bound.pool, b2.hash, 2);  // marks b1 and b2 settled
+  EXPECT_EQ(bound.pending(), std::vector<std::size_t>(4, 0));
+  bound.net.crash_recipient(2);  // the slot-3 crash: party 2's coverage is gone
+  bound.deliver(4);
+  // Nobody is down in [4, 5], but the marks predate the crash: the walk goes
+  // down to genesis and the re-publish covers party 2 again.
+  bound.net.publish_chain(bound.pool, b2.hash, 5);
+  EXPECT_EQ(bound.pending(), std::vector<std::size_t>(4, 0));
+  // So no neighbor of party 2 has to relay b1 to it.
+  bound.net.inject(b1, 1, 6);
+  EXPECT_EQ(bound.pending(), std::vector<std::size_t>(4, 0));
+}
+
+TEST(RedeliveryElision, ATamperedAncestorBlocksTheStop) {
+  for (const NetConfig& cfg : {NetConfig::degenerate(), ring()}) {
+    BoundNetwork bound(4, cfg);
+    const auto [b1, b2] = pooled_chain(bound);
+    Block tampered = b1;
+    tampered.payload ^= 0xbad;
+    bound.net.inject_all(tampered, 1);  // the network's canonical copy of b1
+    bound.deliver(1);
+    for (HonestNode& node : bound.nodes) node.receive(b1);
+    bound.net.publish_chain(bound.pool, b2.hash, 2);
+    bound.deliver(2);
+    // Neither b1 nor b2 may settle: the pooled b1 is not the canonical copy,
+    // so every re-publish ships it to everyone, and b2 rides on it.
+    for (std::size_t slot = 3; slot < 5; ++slot) {
+      bound.net.publish_chain(bound.pool, b2.hash, slot);
+      EXPECT_EQ(bound.pending(), std::vector<std::size_t>(4, 1))
+          << "heterogeneous: " << cfg.heterogeneous();
+      for (const auto& got : bound.deliver(slot)) EXPECT_EQ(got, std::vector<Block>{b1});
+    }
+  }
 }
 
 TEST(RedeliveryElision, ATamperedCopyUnderAHeldHashShipsAsBefore) {
@@ -738,20 +860,22 @@ struct GossipShape {
     cfg.latency = {LatencyKind::Geometric, 0, 3, 0.5};
     return cfg;
   }();
+  bool faults = true;  ///< attach the sampled Mixed plan
 };
 
+template <class Strategy = RandomizedAdversary>
 ComposedGossipOutcome composed_gossip_run(const GossipShape& shape) {
   Rng rng(shape.seed);
   const LeaderSchedule schedule = LeaderSchedule::from_symbol_law(
       kTransportProbeLaw, shape.horizon, shape.parties, rng);
-  RandomizedAdversary adversary(rng());
+  Strategy adversary(rng());
   Rng plan_rng(shape.seed ^ 0xfa017b1a5eedULL);
   faults::FaultInjector injector(
       faults::sample_fault_plan(faults::FaultProfile::Mixed, shape.parties, shape.horizon,
                                 shape.delta, plan_rng),
       shape.parties, shape.horizon);
   Simulation sim(schedule, SimulationConfig{TieBreak::AdversarialOrder, rng()}, shape.delta,
-                 &adversary, &injector, shape.net);
+                 &adversary, shape.faults ? &injector : nullptr, shape.net);
   sim.run();
   ComposedGossipOutcome out;
   // A lockstep run has no gossip report: its observed Delta is the fault
@@ -857,6 +981,100 @@ TEST(FacadeEquivalence, AdversarialGossipWorkloadShapePinsHold) {
                 0x89f59643d144378fULL);
   expect_pinned({64, 1000, 2}, 175, {1272, 176, 963, 2, 2, 1, 633, 1292, 0},
                 0x7c3b9cd0979c5bbdULL);
+}
+
+// The differential net for publish_chain: RandomizedAdversary as it was
+// before the walk could stop, re-publishing every ancestor of the chain
+// through inject / inject_all. It draws exactly what RandomizedAdversary
+// draws, in the same order.
+class FullWalkRandomizedAdversary : public Adversary {
+ public:
+  explicit FullWalkRandomizedAdversary(std::uint64_t seed) : rng_(seed) {}
+
+  void on_slot_begin(std::size_t slot, Simulation& sim) override {
+    if (!sim.schedule().leaders(slot).adversarial) return;
+    const std::size_t delta = sim.network().delta();
+    std::vector<BlockHash> parents;
+    for (BlockHash h : sim.global_tree().max_length_heads())
+      if (sim.global_tree().block(h).slot < slot) parents.push_back(h);
+    if (parents.empty() || rng_.bernoulli(0.25)) {
+      const std::vector<Block>& blocks = sim.all_blocks();
+      for (int tries = 0; tries < 4; ++tries) {
+        const Block& b = blocks[rng_.below(blocks.size())];
+        if (b.slot < slot) {
+          parents.push_back(b.hash);
+          break;
+        }
+      }
+    }
+    if (parents.empty()) return;
+    const BlockHash parent = parents[rng_.below(parents.size())];
+    const Block block = sim.mint_adversarial(parent, slot, payload_++);
+    switch (rng_.below(4)) {
+      case 0: break;
+      case 1: {
+        const PartyId victim = static_cast<PartyId>(rng_.below(sim.nodes().size()));
+        const std::size_t visible = slot + rng_.below(delta + 1);
+        for (BlockHash h : sim.global_tree().chain(block.hash))
+          if (h != genesis_block().hash)
+            sim.network().inject(sim.global_tree().block(h), victim, visible);
+        break;
+      }
+      default: {
+        const std::size_t visible = slot + rng_.below(delta + 1);
+        for (BlockHash h : sim.global_tree().chain(block.hash))
+          if (h != genesis_block().hash)
+            sim.network().inject_all(sim.global_tree().block(h), visible);
+      }
+    }
+  }
+
+  std::vector<std::size_t> delivery_delays(const Block&, std::size_t,
+                                           Simulation& sim) override {
+    std::vector<std::size_t> delays(sim.nodes().size(), 0);
+    const std::size_t delta = sim.network().delta();
+    if (delta == 0) return delays;
+    for (std::size_t& d : delays) d = rng_.below(delta + 1);
+    return delays;
+  }
+
+  BlockHash break_tie(PartyId, const std::vector<BlockHash>& candidates, Simulation&) override {
+    return candidates[rng_.below(candidates.size())];
+  }
+
+ private:
+  Rng rng_;
+  std::uint64_t payload_ = 0xf022edULL;
+};
+
+TEST(PublishChainDifferential, MatchesTheFullWalkOnRandomShapes) {
+  // Fresh seeds on every run (CI repeats this test); a failure names the
+  // master seed, and composed_gossip_run of the traced shape reproduces it.
+  const std::uint64_t master = (std::uint64_t{std::random_device{}()} << 32) ^
+                               std::random_device{}();
+  Rng draw(master);
+  for (const bool gossip : {true, false}) {
+    for (const bool faulted : {true, false}) {
+      for (int run = 0; run < 3; ++run) {
+        GossipShape shape{8 + 8 * draw.below(3), 200 + 100 * draw.below(5), draw()};
+        const TopologyKind kinds[] = {TopologyKind::RandomK, TopologyKind::Ring,
+                                      TopologyKind::TwoClusterBridge, TopologyKind::FullMesh};
+        shape.net.topology = kinds[draw.below(4)];
+        if (!gossip) shape.net = NetConfig::degenerate();
+        shape.faults = faulted;
+        SCOPED_TRACE("master seed " + std::to_string(master) + ": " +
+                     (gossip ? net::topology_kind_name(shape.net.topology) : "lockstep") +
+                     std::string(" ") + std::to_string(shape.parties) +
+                     " x " + std::to_string(shape.horizon) + ", seed " +
+                     std::to_string(shape.seed) + (faulted ? ", Mixed faults" : ", no faults"));
+        const ComposedGossipOutcome walked = composed_gossip_run<FullWalkRandomizedAdversary>(shape);
+        const ComposedGossipOutcome published = composed_gossip_run(shape);
+        EXPECT_EQ(published.digest, walked.digest);
+        EXPECT_EQ(published.observed_delta, walked.observed_delta);
+        EXPECT_EQ(published.stats, walked.stats);
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
