@@ -60,10 +60,10 @@ constexpr ScaleCell kSweepCells[] = {
 };
 
 // The deep tier (MH_BENCH_DEEP=1): a 10^6-party smoke cell (~0.7 GB peak,
-// ~3 s) and a 10^7-slot horizon cell (~6.7 GB peak, ~80 s, 1.25e7 blocks
-// stored once in the execution's pool and shared by its 18 views, plus the
-// network's intern table of every block it carried) — the
-// scale points E17 quotes. Run serially: two of these
+// ~3 s) and a 10^7-slot horizon cell (~80 s, 1.25e7 blocks stored once in
+// the execution's pool, shared by its 18 views and named by id in the
+// transport; 6.0 GB peak before the transport moved to ids, ~5.6 GB
+// expected now) — the scale points E17 quotes. Run serially: two of these
 // side by side would double the peak footprint for no timing benefit.
 constexpr ScaleCell kDeepCells[] = {
     {1000000, 16, 5, 0x3a321fa47de34b4dULL},

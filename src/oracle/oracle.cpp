@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <optional>
+#include <span>
 
 #include "delta/delta_fork.hpp"
 #include "delta/reduction.hpp"
@@ -71,7 +72,7 @@ void grade_epochs(const consensus::EpochSchedule& lottery, const LeaderSchedule&
 /// analytic_allows / string_margin / fork_valid / fork_margin /
 /// margin_dominated fields.
 void grade_reduction(const LeaderSchedule& schedule, std::size_t delta,
-                     std::size_t target_slot, std::size_t k, const std::vector<Block>& blocks,
+                     std::size_t target_slot, std::size_t k, std::span<const Block> blocks,
                      RunVerdict& verdict) {
   // --- analytic side: reduce, decompose, run the Theorem-5 recurrence ------
   const AnalyticProjection view = [&] {

@@ -71,7 +71,7 @@ void PrivateChainAdversary::on_slot_begin(std::size_t slot, Simulation& sim) {
 }
 
 void BalanceAttacker::absorb_new_blocks(const Simulation& sim) {
-  const std::vector<Block>& blocks = sim.all_blocks();
+  const std::span<const Block> blocks = sim.all_blocks();
   for (; seen_blocks_ < blocks.size(); ++seen_blocks_) {
     const Block& b = blocks[seen_blocks_];
     if (b.hash == genesis_block().hash) continue;
@@ -166,7 +166,7 @@ void RandomizedAdversary::on_slot_begin(std::size_t slot, Simulation& sim) {
   for (BlockHash h : sim.global_tree().max_length_heads())
     if (sim.global_tree().block(h).slot < slot) parents.push_back(h);
   if (parents.empty() || rng_.bernoulli(0.25)) {
-    const std::vector<Block>& blocks = sim.all_blocks();
+    const std::span<const Block> blocks = sim.all_blocks();
     for (int tries = 0; tries < 4; ++tries) {
       const Block& b = blocks[rng_.below(blocks.size())];
       if (b.slot < slot) {

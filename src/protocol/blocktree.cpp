@@ -50,6 +50,7 @@ struct BlockTree::Pool {
 namespace {
 
 constexpr std::uint32_t kEmptySlot = 0xffffffffu;
+static_assert(kEmptySlot == BlockTree::kNoId, "pool_id returns the index's empty sentinel");
 
 /// Fresh index tables start tiny; they grow geometrically and the grown
 /// capacity is what the arena recycles.
@@ -277,6 +278,21 @@ void BlockTree::admit(std::uint32_t id) {
 }
 
 bool BlockTree::contains(BlockHash hash) const { return member(pool_->find(hash)); }
+
+std::uint32_t BlockTree::pool_id(BlockHash hash) const noexcept { return pool_->find(hash); }
+
+std::span<const Block> BlockTree::pool_blocks() const noexcept { return pool_->blocks; }
+
+std::uint32_t BlockTree::enter_pool(const Block& block) {
+  Pool& pool = *pool_;
+  const std::uint32_t id = pool.find(block.hash);
+  if (id != kEmptySlot) return pool.blocks[id] == block ? id : kNoId;
+  const std::uint32_t parent = pool.find(block.parent);
+  if (parent == kEmptySlot || block.slot <= pool.slots[parent] ||
+      !verify_block_integrity(block))
+    return kNoId;
+  return pool.insert(block, parent);
+}
 
 const Block& BlockTree::block(BlockHash hash) const { return pool_->blocks[index_of(hash)]; }
 

@@ -34,6 +34,11 @@
 // equality with the pooled block, so a tampered copy (same hash field,
 // different header) is still Invalid, without a second hash.
 //
+// Three pool-level accessors serve the transport, which names blocks by pool
+// id and stores none itself: pool_id (hash -> id, whichever view admitted the
+// block), pool_blocks (the Block column, in pooling order) and enter_pool
+// (pool a block under the same checks, admitting it to no view).
+//
 // The lift tables are materialized LAZILY: an insertion appends only the
 // fixed-stride columns; the first lifted query after a batch of insertions
 // extends the table for the new ids in one contiguous pass (each id is built
@@ -54,6 +59,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <unordered_set>
 #include <vector>
 
@@ -143,6 +149,22 @@ class BlockTree {
 
   /// This view's block hashes in arrival order (genesis first).
   [[nodiscard]] const std::vector<BlockHash>& arrival_order() const noexcept { return arrival_; }
+
+  // --- pool level: every block of the pool, whichever view admitted it ----
+
+  /// The id pool_id returns for an unpooled hash.
+  static constexpr std::uint32_t kNoId = 0xffffffffu;
+  /// The pool id of `hash`'s pooled copy, or kNoId.
+  [[nodiscard]] std::uint32_t pool_id(BlockHash hash) const noexcept;
+  /// The pool's Block column, indexed by pool id: pooling order, genesis at
+  /// id 0, parents before children. Pooling a block invalidates the span.
+  [[nodiscard]] std::span<const Block> pool_blocks() const noexcept;
+  /// Pool `block` without admitting it to any view, and return its id: the
+  /// pooled copy's if the pool holds an equal block, a new id if its header
+  /// is intact, its parent pooled and its slot above the parent's, else
+  /// kNoId (a different copy under a pooled hash, or a block that can never
+  /// be pooled yet). Throws like try_add on overflow.
+  std::uint32_t enter_pool(const Block& block);
 
   /// Cumulative counters of the calling thread's pool arena (diagnostics and
   /// tests; recycling must be semantically invisible). One pool is acquired

@@ -4,7 +4,7 @@
 
 namespace mh {
 
-ExecutionFork fork_from_blocks(const std::vector<Block>& blocks) {
+ExecutionFork fork_from_blocks(std::span<const Block> blocks) {
   ExecutionFork out;
   out.vertex_of.emplace(genesis_block().hash, kRoot);
   for (const Block& b : blocks) {

@@ -4,8 +4,8 @@
 // fork axioms (F1)-(F4) / (F4_Delta) for their characteristic strings.
 #pragma once
 
+#include <span>
 #include <unordered_map>
-#include <vector>
 
 #include "fork/fork.hpp"
 #include "protocol/block.hpp"
@@ -20,6 +20,6 @@ struct ExecutionFork {
 /// Builds the fork of an execution from its block set (parents must precede
 /// children, which creation order guarantees). Blocks label vertices with
 /// their slots; genesis is the root.
-ExecutionFork fork_from_blocks(const std::vector<Block>& blocks);
+ExecutionFork fork_from_blocks(std::span<const Block> blocks);
 
 }  // namespace mh

@@ -2,7 +2,8 @@
 // timestamped block ids.
 //
 // Every scheduled send is an 8-byte {due, id} entry in its recipient's lane;
-// the id names a block in the owning Network's intern table. A lane is kept
+// the id names a block by its pool id, or a tampered copy by the owning
+// Network's alias id (see network.hpp). A lane is kept
 // sorted by (due, seq), where seq is the order of scheduling: a send whose due
 // is not below the lane's last due appends, any other inserts after every
 // entry with an equal due. So the pop order (due ascending, then scheduling
@@ -27,10 +28,12 @@
 #include <vector>
 
 #include "protocol/block.hpp"
-#include "protocol/net/intern_table.hpp"
 #include "support/check.hpp"
 
 namespace mh::net {
+
+/// The name a block travels under on the lanes.
+using BlockId = std::uint32_t;
 
 class EventCore {
  public:

@@ -120,28 +120,64 @@ bool Network::faulted_link(PartyId sender, PartyId recipient, std::size_t slot,
   return true;
 }
 
-// --- no-op re-delivery elision ---------------------------------------------
+// --- the block store --------------------------------------------------------
 
-void Network::bind_views(std::span<const HonestNode> nodes) {
-  MH_REQUIRE_MSG(nodes.size() == parties_, "bound " + std::to_string(nodes.size()) +
-                                               " views, network has " +
-                                               std::to_string(parties_) + " parties");
+void Network::bind_views(std::span<const HonestNode> nodes, const BlockTree& pool) {
+  MH_REQUIRE_MSG(nodes.empty() || nodes.size() == parties_,
+                 "bound " + std::to_string(nodes.size()) + " views, network has " +
+                     std::to_string(parties_) + " parties");
+  MH_REQUIRE_MSG(!store_, "a network must be bound before it is handed a block");
   views_ = nodes;
+  store_ = pool.view();
 }
 
+BlockTree& Network::store() {
+  if (!store_) store_.emplace();
+  return *store_;
+}
+
+Network::BlockId Network::resolve(const Block& block) {
+  BlockTree& store = this->store();
+  const BlockId id = store.enter_pool(block);
+  if (id != kNoId) {
+    MH_REQUIRE_MSG(id < alias_floor(), "pool ids reached the transport's alias ids");
+    return id;
+  }
+  const BlockId pooled = store.pool_id(block.hash);
+  MH_REQUIRE_MSG(pooled != kNoId,
+                 "cannot name party " + std::to_string(block.issuer) + "'s slot-" +
+                     std::to_string(block.slot) +
+                     " block: its hash is not pooled, and its parent is unpooled, its "
+                     "slot is not above the parent's, or its header is not intact");
+  // A tampered copy: the same hash as the pooled block, different fields.
+  for (std::size_t i = 0; i < aliases_.size(); ++i)
+    if (aliases_[i].block == block) return kNoId - 1 - static_cast<BlockId>(i);
+  aliases_.push_back(Alias{block, pooled});
+  MH_REQUIRE_MSG(pool_size() <= alias_floor(), "alias ids reached the pool's ids");
+  return alias_floor();
+}
+
+Network::BlockId Network::resolve_chain(const BlockTree& tree, const Block& block) {
+  BlockTree& store = this->store();
+  if (store.pool_id(block.parent) == kNoId) {
+    // Only a private store can lack the ancestry; it pools parents first.
+    lift_scratch_.clear();
+    for (BlockHash h = block.parent; store.pool_id(h) == kNoId; h = tree.block(h).parent)
+      lift_scratch_.push_back(h);
+    for (std::size_t i = lift_scratch_.size(); i-- > 0;) resolve(tree.block(lift_scratch_[i]));
+  }
+  return resolve(block);
+}
+
+// --- no-op re-delivery elision ---------------------------------------------
+
 bool Network::view_holds(PartyId recipient, BlockId id) {
-  if (held_.size() <= id) held_.resize(interned_.size());
-  Held& held = held_[id];
-  if (recipient < held.prefix) return true;
-  if (held.copy == Held::Copy::Foreign) return false;
-  const Block& block = interned_.block(id);
-  const BlockTree& view = views_[recipient].tree();
-  if (!view.contains(block.hash)) return false;
-  if (held.copy == Held::Copy::Unchecked)
-    held.copy = view.block(block.hash) == block ? Held::Copy::Pooled : Held::Copy::Foreign;
-  if (held.copy != Held::Copy::Pooled) return false;
+  if (held_.size() <= id) held_.resize(pool_size(), 0);
+  std::uint32_t& prefix = held_[id];
+  if (recipient < prefix) return true;
+  if (!views_[recipient].tree().contains(block(id, store_->pool_blocks()).hash)) return false;
   // Views only grow: the next holder extends the prefix.
-  if (recipient == held.prefix) ++held.prefix;
+  if (recipient == prefix) ++prefix;
   return true;
 }
 
@@ -149,10 +185,10 @@ bool Network::all_views_hold(BlockId id) {
   // Views only grow, so the holder prefix only advances: a call costs O(1)
   // amortized — one failed test, plus advances that total P per id.
   // view_holds advances the prefix past each holder it finds.
-  if (held_.size() <= id) held_.resize(interned_.size());
-  while (held_[id].prefix < parties_ && view_holds(held_[id].prefix, id)) {
+  if (held_.size() <= id) held_.resize(pool_size(), 0);
+  while (held_[id] < parties_ && view_holds(held_[id], id)) {
   }
-  return held_[id].prefix == parties_;
+  return held_[id] == parties_;
 }
 
 const Network::NearDown& Network::near_down(std::size_t visible_slot) {
@@ -181,16 +217,16 @@ bool Network::relays_nothing(PartyId victim, BlockId id, std::size_t visible_slo
 }
 
 bool Network::settled(BlockHash hash, std::size_t visible_slot) const {
-  const BlockId id = interned_.find(hash);
+  const BlockId id = store_->pool_id(hash);
   return id < settled_.size() && settled_[id] == epoch_ &&
          (hetero_ || covered_all(hash, visible_slot));
 }
 
 bool Network::settle(BlockHash hash) {
-  const BlockId id = interned_.find(hash);  // kNoId if every injection was dropped
-  if (id == net::InternTable::kNoId || !all_views_hold(id)) return false;
+  const BlockId id = store_->pool_id(hash);  // walked blocks were resolved
+  if (!all_views_hold(id)) return false;
   if (hetero_ && (id >= covered_by_.size() || covered_by_[id] != parties_)) return false;
-  if (settled_.size() <= id) settled_.resize(interned_.size(), 0);
+  if (settled_.size() <= id) settled_.resize(pool_size(), 0);
   settled_[id] = epoch_;
   return true;
 }
@@ -245,7 +281,7 @@ std::size_t Network::checked_delay(const std::vector<std::size_t>& delays, Party
   return delay;
 }
 
-void Network::hetero_broadcast_chain(const BlockTree& tree, const Block& block,
+void Network::hetero_broadcast_chain(const BlockTree& tree, const Block& block, BlockId id,
                                      std::size_t sent_slot,
                                      const std::vector<std::size_t>& per_recipient_delay) {
   const PartyId sender = block.issuer;
@@ -254,7 +290,6 @@ void Network::hetero_broadcast_chain(const BlockTree& tree, const Block& block,
                      std::to_string(sender) + " at slot " + std::to_string(sent_slot));
   // The forger self-accepts: its own coverage gains the block immediately, so
   // a neighbor's later relay back to it deduplicates.
-  const BlockId id = interned_.intern(block);
   cover(sender, id);
   const bool faulted = fault_window(sent_slot);
   MH_OBS_ONLY(std::size_t shipped = 0;)
@@ -267,13 +302,13 @@ void Network::hetero_broadcast_chain(const BlockTree& tree, const Block& block,
     const Coverage& coverage = coverage_[r];
     lift_scratch_.clear();
     BlockHash h = block.parent;
-    for (; h != genesis_block().hash && !coverage.test(interned_.find(h));
+    for (; h != genesis_block().hash && !coverage.test(store_->pool_id(h));
          h = tree.block(h).parent)
       lift_scratch_.push_back(h);
     MH_OBS_HIST("protocol.net.chain_sync_depth", lift_scratch_.size());
     MH_OBS_ONLY(shipped += lift_scratch_.size() + 1;)
     for (std::size_t i = lift_scratch_.size(); i-- > 0;)
-      hetero_send(sender, r, interned_.intern(tree.block(lift_scratch_[i])), sent_slot, delay,
+      hetero_send(sender, r, resolve(tree.block(lift_scratch_[i])), sent_slot, delay,
                   faulted ? link.extra_delay : 0, false);
     hetero_send(sender, r, id, sent_slot, delay, faulted ? link.extra_delay : 0,
                 faulted && link.duplicate);
@@ -282,10 +317,10 @@ void Network::hetero_broadcast_chain(const BlockTree& tree, const Block& block,
 }
 
 void Network::hetero_relay(PartyId relayer, BlockId id, std::size_t slot, bool faulted) {
-  const BlockId canonical = interned_.canonical(id);
+  const BlockId hash_id = pooled(id);
   MH_OBS_ONLY(std::size_t relayed = 0;)
   topology_.for_each_neighbor(relayer, [&](PartyId neighbor) {
-    if (coverage_[neighbor].test(canonical)) return;
+    if (coverage_[neighbor].test(hash_id)) return;
     faults::LinkVerdict link{};
     if (faulted && !faulted_link(relayer, neighbor, slot, &link)) return;
     MH_OBS_ONLY(++relayed;)
@@ -311,7 +346,7 @@ void Network::require_broadcast(const Block& block, std::size_t sent_slot,
 void Network::broadcast(const Block& block, std::size_t sent_slot,
                         const std::vector<std::size_t>& per_recipient_delay) {
   require_broadcast(block, sent_slot, per_recipient_delay);
-  const BlockId id = interned_.intern(block);
+  const BlockId id = resolve(block);
   if (hetero_) {
     MH_OBS_COUNT("protocol.net.blocks_shipped", 1);
     const bool faulted = fault_window(sent_slot);
@@ -367,8 +402,9 @@ void Network::broadcast(const Block& block, std::size_t sent_slot,
 void Network::broadcast_chain(const BlockTree& tree, const Block& block, std::size_t sent_slot,
                               const std::vector<std::size_t>& per_recipient_delay) {
   require_broadcast(block, sent_slot, per_recipient_delay);
+  const BlockId id = resolve_chain(tree, block);
   if (hetero_) {
-    hetero_broadcast_chain(tree, block, sent_slot, per_recipient_delay);
+    hetero_broadcast_chain(tree, block, id, sent_slot, per_recipient_delay);
     return;
   }
   const bool faulted = fault_window(sent_slot);
@@ -393,17 +429,15 @@ void Network::broadcast_chain(const BlockTree& tree, const Block& block, std::si
     // The walk stopping short of genesis means a watermark answered it.
     if (h != genesis_block().hash) MH_OBS_COUNT("protocol.net.watermark_hits", 1);
     for (std::size_t i = lift_scratch_.size(); i-- > 0;) {
-      const BlockId ancestor = interned_.intern(tree.block(lift_scratch_[i]));
+      const BlockId ancestor = resolve(tree.block(lift_scratch_[i]));
       for (PartyId r = 0; r < parties_; ++r) push(r, ancestor, due);
       record(sent_all_, lift_scratch_[i], due);
     }
-    const BlockId id = interned_.intern(block);
     for (PartyId r = 0; r < parties_; ++r) push(r, id, due);
     record(sent_all_, block.hash, due);
     return;
   }
 
-  const BlockId id = interned_.intern(block);
   std::size_t due_max = sent_slot + 1;
   MH_OBS_ONLY(std::size_t shipped = 0;)
   for (PartyId r = 0; r < parties_; ++r) {
@@ -425,7 +459,7 @@ void Network::broadcast_chain(const BlockTree& tree, const Block& block, std::si
     MH_OBS_ONLY(shipped += lift_scratch_.size() + 1;)
     if (h != genesis_block().hash) MH_OBS_COUNT("protocol.net.watermark_hits", 1);
     for (std::size_t i = lift_scratch_.size(); i-- > 0;) {
-      push(r, interned_.intern(tree.block(lift_scratch_[i])), due);
+      push(r, resolve(tree.block(lift_scratch_[i])), due);
       record_recipient(r, lift_scratch_[i], due);
     }
     push(r, id, due);
@@ -450,6 +484,8 @@ void Network::inject(const Block& block, PartyId recipient, std::size_t visible_
   MH_REQUIRE_MSG(visible_slot >= block.slot,
                  "non-monotone injection: a slot-" + std::to_string(block.slot) +
                      " block cannot be visible at slot " + std::to_string(visible_slot));
+  // Resolved even when dropped: publish_chain pools a walked chain this way.
+  const BlockId id = resolve(block);
   // Partitions never sever adversarial channels (the coalition keeps links
   // into every component), but a crashed endpoint receives nothing.
   if (faults_ != nullptr && faults_->is_down(recipient, visible_slot)) {
@@ -457,7 +493,6 @@ void Network::inject(const Block& block, PartyId recipient, std::size_t visible_
     MH_OBS_COUNT("protocol.faults.ships_dropped", 1);
     return;
   }
-  const BlockId id = interned_.intern(block);
   if (elidable(id) && view_holds(recipient, id) &&
       (!hetero_ || relays_nothing(recipient, id, visible_slot))) {
     MH_OBS_COUNT("protocol.net.republish_elided", 1);
@@ -480,7 +515,7 @@ void Network::inject_all(const Block& block, std::size_t visible_slot) {
                  "non-monotone injection: a slot-" + std::to_string(block.slot) +
                      " block cannot be visible at slot " + std::to_string(visible_slot));
   const bool faulted = fault_window(visible_slot);
-  const BlockId id = interned_.intern(block);
+  const BlockId id = resolve(block);
   if (hetero_) {
     // The call covers every party up at visible_slot, so a holder's pop
     // relays nothing unless one of its out-neighbors may be down by then.
@@ -559,6 +594,7 @@ void Network::publish_chain(const BlockTree& tree, BlockHash tip, std::size_t vi
   }
   // Every block from genesis to the stop is a call that adds no lane entry.
   MH_OBS_COUNT("protocol.net.republish_elided", tree.length(h) * (everyone ? parties_ : 1));
+  // Ancestors first: each call pools its block after its parent.
   for (std::size_t i = lift_scratch_.size(); i-- > 0;) {
     const Block& block = tree.block(lift_scratch_[i]);
     if (everyone)
@@ -606,7 +642,7 @@ void Network::resync_ship(const Block& block, PartyId recipient, std::size_t slo
   MH_REQUIRE_MSG(recipient < parties_,
                  "re-sync for unknown party " + std::to_string(recipient) +
                      " (network has " + std::to_string(parties_) + " parties)");
-  const BlockId id = interned_.intern(block);
+  const BlockId id = resolve(block);
   push(recipient, id, slot);
   if (hetero_)
     cover(recipient, id);
@@ -616,21 +652,17 @@ void Network::resync_ship(const Block& block, PartyId recipient, std::size_t slo
   MH_OBS_COUNT("protocol.faults.resync_blocks", 1);
 }
 
-std::vector<Block> Network::collect(PartyId recipient, std::size_t slot) {
-  std::vector<Block> due;
-  collect_into(recipient, slot, &due);
-  return due;
-}
-
 void Network::collect_into(PartyId recipient, std::size_t slot, std::vector<Block>* out) {
   MH_REQUIRE_MSG(recipient < parties_,
                  "collect for unknown party " + std::to_string(recipient) +
                      " (network has " + std::to_string(parties_) + " parties)");
   out->clear();
+  // Popping pools nothing, so the column stays put (no store: no entries).
+  const std::span<const Block> pool = store_ ? store_->pool_blocks() : std::span<const Block>{};
   if (!hetero_) {
     expire_watermarks(recipient, slot);
     events_.collect_due(recipient, slot,
-                        [&](BlockId id) { out->push_back(interned_.block(id)); });
+                        [&](BlockId id) { out->push_back(block(id, pool)); });
     return;
   }
   // Gossip forwarding: every pop relays to the neighbors not yet scheduled to
@@ -645,7 +677,7 @@ void Network::collect_into(PartyId recipient, std::size_t slot, std::vector<Bloc
   now_ = std::max(now_, slot);
   const bool faulted = fault_window(slot);
   events_.collect_due(recipient, slot, [&](BlockId id) {
-    out->push_back(interned_.block(id));
+    out->push_back(block(id, pool));
     hetero_relay(recipient, id, slot, faulted);
   });
 }

@@ -1,14 +1,20 @@
 // The protocol transport: a façade over the discrete-event network core in
 // src/protocol/net/.
 //
-// The Network interns every distinct Block it is handed once, into a table it
-// owns (a Block column plus a flat hash -> id index), and moves only 32-bit
-// ids: every scheduled send is a net::EventCore lane entry keyed (due slot,
-// scheduling order), and collect materializes the Blocks. A tampered copy
-// under a known hash gets its own id, so it is delivered as it was sent, but
-// it shares the hash's canonical id for coverage: every dedupe below stays
-// keyed by hash. What varies between configurations is WHO a send reaches and
-// WHEN it lands:
+// The Network stores no block. It names each block it is handed by the pool
+// id of its hash's copy in the execution's BlockTree pool (bind_views; an
+// unbound Network pools what it is handed in a private tree made on first
+// use), and moves only 32-bit ids: every scheduled send is a net::EventCore
+// lane entry keyed (due slot, scheduling order), and collect_into reads the
+// Blocks back from the pool's Block column. A block the pool lacks is pooled
+// on the spot, so it must arrive after its parent. A copy that differs from
+// the pooled block under the same hash (a tampered copy) gets an alias id:
+// aliases count down from 0xfffffffe while pool ids count up from 0, and a
+// pool id that would reach them throws, so the two never meet. An alias is
+// delivered as it was sent, but covered as its hash's pool id, so every dedupe
+// below stays keyed by hash. A block that is neither pooled, nor poolable, nor
+// a copy of a pooled hash fails MH_REQUIRE. What varies between
+// configurations is WHO a send reaches and WHEN it lands:
 //
 //   * Degenerate NetConfig (full mesh, zero extra latency, unlimited
 //     bandwidth — the default): the slot-synchronous network with a rushing
@@ -60,10 +66,11 @@
 // publish_chain skips every call made of such entries alone. With the
 // recipients' views bound (bind_views; the Simulation binds its nodes), a
 // push of block b to recipient r due at v is a no-op when
-//   (i)  r's view holds b's hash and b is the pooled copy of it. Views only
+//   (i)  b's id is a pool id and r's view holds it. A pool id is the pooled
+//        copy, the only block under its hash any view can hold; views only
 //        grow and a crash keeps the tree, so receive() returns Duplicate at
-//        any later pop; a tampered copy is never skipped. Lockstep inject_all
-//        asks this of every view (a block one view lacks ships to all);
+//        any later pop. An alias is never skipped. Lockstep inject_all asks
+//        this of every view (a block one view lacks ships to all);
 //   (ii) heterogeneous mode only: r's pop relays nothing, because every
 //        out-neighbor of r is covered for b at the pop. No out-neighbor of r
 //        may be down at any slot between now (the latest collect slot) and v,
@@ -75,7 +82,7 @@
 //        adversary injected at v >= the slot, so the pop is at v.
 // Skipping an entry keeps the relative order of the rest of its lane, and
 // link verdicts and latency draws are keyed (slot, sender, recipient), so no
-// stream shifts. Everything else a push does stays: interning, coverage, the
+// stream shifts. Everything else a push does stays: pooling, coverage, the
 // drop count for down recipients, and the lockstep watermark records. "Every
 // view holds it" is a per-id prefix of holders that only advances; the
 // parties with an out-neighbor down in [min(v, now), max(v, now)] depend only
@@ -85,30 +92,31 @@
 // ancestor a whose call, and every deeper ancestor's, is provably a no-op;
 // the walked suffix is then injected ancestors-first, the full loop's order.
 // A tree admits only intact headers, so the block a skipped call would inject
-// is the pooled copy of its hash. Ids are marked in a pass after the calls;
-// the stop needs a's mark:
-//   * gossip: a is chain-settled — the pooled canonical copy, held by every
-//     view, covered_by_ == parties, and its parent chain-settled — and no
-//     party is down in [min(v, now), max(v, now)]. Every view and coverage
-//     then holds a and each ancestor, nobody's out-neighbor is down and no
-//     drop can be counted, so each call skips every push and covers nothing
-//     new. Coverage shrinks only in crash_recipient, which bumps the epoch
-//     that stamps the marks, so a crash invalidates every mark;
-//   * lockstep: a is chain-held — the pooled canonical copy, held by every
-//     view, its parent chain-held; views only grow, so this never expires —
-//     and covered_all(a, v). sent_all_ is ancestry-monotone: every record
-//     site requires the parent covered_all at the same due, and a crash
-//     clears the whole map, so every ancestor is covered_all at v too. To
-//     everyone, with no fault window at v, each ancestor's inject_all takes
-//     the all-covered path and its record changes nothing. To one victim,
-//     the plan must never crash anyone (no injector, or no churn): then
-//     is_down never drops, the push is skipped by (i), and the skipped
-//     record_recipient is redundant with covered_all, which never clears —
-//     while a crash would count the entries it adds in watermarks_invalidated.
+// is the pooled copy of its hash, named by its pool id. Ids are marked in a
+// pass after the calls; the stop needs a's mark:
+//   * gossip: a is chain-settled — held by every view, covered_by_ ==
+//     parties, and its parent chain-settled — and no party is down in
+//     [min(v, now), max(v, now)]. Every view and coverage then holds a and
+//     each ancestor, nobody's out-neighbor is down and no drop can be
+//     counted, so each call skips every push and covers nothing new.
+//     Coverage shrinks only in crash_recipient, which bumps the epoch that
+//     stamps the marks, so a crash invalidates every mark;
+//   * lockstep: a is chain-held — held by every view, its parent chain-held;
+//     views only grow, so this never expires — and covered_all(a, v).
+//     sent_all_ is ancestry-monotone: every record site requires the parent
+//     covered_all at the same due, and a crash clears the whole map, so
+//     every ancestor is covered_all at v too. To everyone, with no fault
+//     window at v, each ancestor's inject_all takes the all-covered path and
+//     its record changes nothing. To one victim, the plan must never crash
+//     anyone (no injector, or no churn): then is_down never drops, the push
+//     is skipped by (i), and the skipped record_recipient is redundant with
+//     covered_all, which never clears — while a crash would count the
+//     entries it adds in watermarks_invalidated.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -118,7 +126,6 @@
 #include "protocol/blocktree.hpp"
 #include "protocol/net/config.hpp"
 #include "protocol/net/event_core.hpp"
-#include "protocol/net/intern_table.hpp"
 #include "protocol/net/topology.hpp"
 #include "protocol/node.hpp"
 
@@ -149,12 +156,15 @@ class Network {
   }
   [[nodiscard]] faults::FaultInjector* fault_injector() const noexcept { return faults_; }
 
-  /// Bind the recipients' views, one node per party in PartyId order, which
-  /// turns on no-op re-delivery elision (see above; an unbound Network ships
-  /// every push). The nodes must outlive the Network and never move; the
-  /// Simulation binds its node vector, whose buffer survives a move of the
-  /// Simulation.
-  void bind_views(std::span<const HonestNode> nodes);
+  /// Bind the execution's block pool, through a view of `pool` (the
+  /// Simulation's tree object moves, its pool does not), and the recipients'
+  /// views, one node per party in PartyId order, which turns on no-op
+  /// re-delivery elision (see above). `nodes` may be empty: the pool alone,
+  /// and every push ships, as in an unbound Network. Bind before the first
+  /// block is handed over. The nodes must outlive the Network and never move;
+  /// the Simulation binds its node vector, whose buffer survives a move of
+  /// the Simulation.
+  void bind_views(std::span<const HonestNode> nodes, const BlockTree& pool);
 
   /// Undelivered lane entries toward `recipient`.
   [[nodiscard]] std::size_t pending(PartyId recipient) const {
@@ -211,17 +221,16 @@ class Network {
   /// the chain-complete contract.
   void resync_ship(const Block& block, PartyId recipient, std::size_t slot);
 
-  /// Deliveries for `recipient` due at the onset of `slot`, in (due, seq)
-  /// event order. In heterogeneous mode every pop — a duplicate too — is
-  /// relayed to the recipient's out-neighbors not yet scheduled to receive
-  /// it (due >= slot + 1, so relay cascades never loop within a slot).
-  [[nodiscard]] std::vector<Block> collect(PartyId recipient, std::size_t slot);
-
-  /// Allocation-free collect for the simulation hot loop.
+  /// Replace `*out` with the deliveries for `recipient` due at the onset of
+  /// `slot`, in (due, seq) event order. In heterogeneous mode every pop — a
+  /// duplicate too — is relayed to the recipient's out-neighbors not yet
+  /// scheduled to receive it (due >= slot + 1, so relay cascades never loop
+  /// within a slot).
   void collect_into(PartyId recipient, std::size_t slot, std::vector<Block>* out);
 
  private:
   using BlockId = net::BlockId;
+  static constexpr BlockId kNoId = BlockTree::kNoId;
 
   struct RecipientQueue {
     /// Chain-complete watermark (degenerate mode): sent[h] = d means this
@@ -239,8 +248,8 @@ class Network {
     std::size_t log_head = 0;
   };
 
-  /// Binary coverage (heterogeneous mode): the canonical ids of every block
-  /// ever scheduled for delivery to one recipient, at whatever due.
+  /// Binary coverage (heterogeneous mode): the pool ids of every hash ever
+  /// scheduled for delivery to one recipient, at whatever due.
   /// Deduplicates gossip relays and bounds chain-sync walks.
   struct Coverage {
     std::vector<std::uint64_t> words;
@@ -260,13 +269,10 @@ class Network {
     }
   };
 
-  /// What the bound views hold of one canonical id.
-  struct Held {
-    /// Leading parties whose views are known to hold it; only advances.
-    std::uint32_t prefix = 0;
-    /// Is the interned copy the pooled block? Decided at the first view found
-    /// holding the hash.
-    enum class Copy : std::uint8_t { Unchecked, Pooled, Foreign } copy = Copy::Unchecked;
+  /// A tampered copy, named by alias id kNoId - 1 - (its index in aliases_).
+  struct Alias {
+    Block block;
+    BlockId pooled;  ///< the pool id of its hash
   };
 
   /// A broadcast's preconditions: the delay vector covers every party (or is
@@ -289,21 +295,43 @@ class Network {
   void record_recipient(PartyId recipient, BlockHash hash, std::size_t due);
   /// Drop per-recipient watermarks whose due lies delta + 1 slots behind.
   void expire_watermarks(PartyId recipient, std::size_t slot);
+  /// The block store, made private on first use when unbound.
+  BlockTree& store();
+  /// The id `block` travels under: its pool id (pooling it if the pool lacks
+  /// its hash), or an alias id for a copy that differs from the pooled one.
+  BlockId resolve(const Block& block);
+  /// resolve, after pooling the ancestry the pool lacks from `tree`,
+  /// ancestors first.
+  BlockId resolve_chain(const BlockTree& tree, const Block& block);
+  /// The lowest alias id handed out (kNoId when none); pool ids stay below.
+  [[nodiscard]] BlockId alias_floor() const noexcept {
+    return kNoId - static_cast<BlockId>(aliases_.size());
+  }
+  /// The pool id of `id`'s hash: `id` itself, or an alias's pooled copy.
+  [[nodiscard]] BlockId pooled(BlockId id) const noexcept {
+    return id < alias_floor() ? id : aliases_[kNoId - 1 - id].pooled;
+  }
+  /// The block `id` names. `pool` is the store's Block column.
+  [[nodiscard]] const Block& block(BlockId id, std::span<const Block> pool) const noexcept {
+    return id < alias_floor() ? pool[id] : aliases_[kNoId - 1 - id].block;
+  }
+  /// A size for the per-pool-id columns that covers every pooled id.
+  [[nodiscard]] std::size_t pool_size() const { return store_->pool_blocks().size(); }
   /// Mark `id` scheduled for `recipient`, as its hash (heterogeneous mode).
   void cover(PartyId recipient, BlockId id) {
-    const BlockId canonical = interned_.canonical(id);
-    if (!coverage_[recipient].set(canonical)) return;
-    if (covered_by_.size() <= canonical) covered_by_.resize(interned_.size(), 0);
-    ++covered_by_[canonical];
+    const BlockId hash_id = pooled(id);
+    if (!coverage_[recipient].set(hash_id)) return;
+    if (covered_by_.size() <= hash_id) covered_by_.resize(pool_size(), 0);
+    ++covered_by_[hash_id];
   }
-  /// May a push of `id` be skipped at all? Views are bound and `id` is its
-  /// hash's canonical copy.
-  [[nodiscard]] bool elidable(BlockId id) const {
-    return !views_.empty() && interned_.canonical(id) == id;
+  /// May a push of `id` be skipped at all? Views are bound and `id` is a
+  /// pool id, not an alias.
+  [[nodiscard]] bool elidable(BlockId id) const noexcept {
+    return !views_.empty() && id < alias_floor();
   }
-  /// Test (i) for one recipient; `id` is canonical.
+  /// Test (i) for one recipient; `id` is a pool id.
   bool view_holds(PartyId recipient, BlockId id);
-  /// Test (i) for every recipient, memoized; `id` is canonical.
+  /// Test (i) for every recipient, memoized; `id` is a pool id.
   bool all_views_hold(BlockId id);
   /// Parties with an out-neighbor down at some slot of [lo, hi] (gossip
   /// mode), for the latest range asked.
@@ -316,7 +344,7 @@ class Network {
   /// The NearDown of [min(visible, now_), max(visible, now_)]; recomputed
   /// only when that range moves.
   const NearDown& near_down(std::size_t visible_slot);
-  /// Test (ii) for inject's victim: a pop of canonical `id` by `victim` at
+  /// Test (ii) for inject's victim: a pop of pool id `id` by `victim` at
   /// `visible_slot` relays nothing.
   bool relays_nothing(PartyId victim, BlockId id, std::size_t visible_slot);
   /// May publish_chain stop at `hash`? Its id is marked for this epoch and,
@@ -353,7 +381,7 @@ class Network {
   /// fault verdict's extra delay; marks the recipient's coverage.
   void hetero_send(PartyId sender, PartyId recipient, BlockId id, std::size_t slot,
                    std::size_t adversary_delay, std::size_t fault_extra, bool duplicate);
-  void hetero_broadcast_chain(const BlockTree& tree, const Block& block,
+  void hetero_broadcast_chain(const BlockTree& tree, const Block& block, BlockId id,
                               std::size_t sent_slot,
                               const std::vector<std::size_t>& per_recipient_delay);
   /// Gossip forwarding of a delivery (issuer-blind: adversarial blocks relay
@@ -368,14 +396,19 @@ class Network {
   net::Topology topology_;
   engine::SeedSequence link_seeds_;          ///< per-(slot, link) latency streams
   faults::FaultInjector* faults_ = nullptr;  // may be null (the common case)
-  net::InternTable interned_;                ///< every block ever handed over, by id
+  /// The block store: a view of the bound pool, or a private tree made on
+  /// first use. Only its pool is read and entered; it admits no block.
+  std::optional<BlockTree> store_;
+  std::vector<Alias> aliases_;               ///< tampered copies (rare), by alias id
   net::EventCore events_;                    ///< the per-recipient delivery lanes
   std::vector<RecipientQueue> queues_;       // per-recipient watermark state
   std::vector<Coverage> coverage_;           ///< per-recipient (hetero only)
-  std::vector<std::uint32_t> covered_by_;    ///< per canonical id: coverages holding it
+  std::vector<std::uint32_t> covered_by_;    ///< per pool id: coverages holding it
   std::span<const HonestNode> views_;        ///< the recipients' trees (empty = unbound)
-  std::vector<Held> held_;                   ///< per canonical id (bound views only)
-  /// Per canonical id: the epoch it was last marked settled in (0 = never).
+  /// Per pool id: the leading parties whose views are known to hold it; only
+  /// advances (bound views only).
+  std::vector<std::uint32_t> held_;
+  /// Per pool id: the epoch it was last marked settled in (0 = never).
   std::vector<std::uint32_t> settled_;
   std::uint32_t epoch_ = 1;  ///< bumped by every gossip-mode crash
   NearDown near_down_;

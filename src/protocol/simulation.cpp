@@ -35,11 +35,11 @@ Simulation::Simulation(const ScheduleSource& schedule, SimulationConfig config,
   nodes_.reserve(schedule.honest_parties());
   for (PartyId p = 0; p < schedule.honest_parties(); ++p)
     nodes_.emplace_back(p, config.tie_break, &schedule_, global_tree_.view());
-  // Re-publishes of blocks a node already holds are elided against its view.
-  // nodes_ never grows past this point, and a moved Simulation keeps the
-  // vector's buffer, so the bound span stays valid.
-  network_.bind_views(nodes_);
-  all_blocks_.push_back(genesis_block());
+  // The network names blocks by their ids in the execution's pool, and elides
+  // re-publishes of blocks a node already holds against its view. nodes_
+  // never grows past this point, and a moved Simulation keeps the vector's
+  // buffer, so the bound span stays valid.
+  network_.bind_views(nodes_, global_tree_);
   if (adversary_) adversary_->begin(*this);
 }
 
@@ -182,7 +182,6 @@ void Simulation::step() {
   //    already been scheduled to receive by the block's due slot.
   for (const Block& block : forged) {
     global_tree_.add(block);
-    all_blocks_.push_back(block);
     accepted_scratch_.clear();
     nodes_[block.issuer].receive(block, &accepted_scratch_);
     for (const Block& a : accepted_scratch_) public_add(a);
@@ -253,7 +252,7 @@ FaultReport Simulation::fault_report() const {
   // unbounded partition, and the configured-Delta window test below would
   // misfire on legitimate multi-hop delays.
   if (hetero_) return report;
-  for (const Block& b : all_blocks_) {
+  for (const Block& b : all_blocks()) {
     if (b.issuer == kAdversary || b.hash == genesis_block().hash) continue;
     if (b.slot + 1 + network_.delta() > last_onset) continue;  // window still open
     for (const HonestNode& node : nodes_) {
@@ -284,7 +283,7 @@ NetReport Simulation::net_report() const {
   // grade is sound without ever being unbounded — gossip on a strongly
   // connected topology delivers eventually; the run merely ended first.
   const std::size_t last_onset = next_slot_;
-  for (const Block& b : all_blocks_) {
+  for (const Block& b : all_blocks()) {
     if (b.issuer == kAdversary || b.hash == genesis_block().hash) continue;
     for (const HonestNode& node : nodes_) {
       if (node.id() == b.issuer) continue;
@@ -312,7 +311,6 @@ Block Simulation::mint_adversarial(BlockHash parent, std::size_t slot, std::uint
                      ", mint requested at slot " + std::to_string(slot));
   const Block block = make_block(parent, slot, kAdversary, payload);
   global_tree_.add(block);
-  all_blocks_.push_back(block);
   return block;
 }
 

@@ -16,6 +16,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "protocol/faults/injector.hpp"
@@ -115,9 +116,15 @@ class Simulation {
   Block mint_adversarial(BlockHash parent, std::size_t slot, std::uint64_t payload);
 
   /// The omniscient view: every block ever forged or minted. It owns the
-  /// execution's block pool; node views and the public view share it.
+  /// execution's block pool; node views, the public view and the network
+  /// share it.
   [[nodiscard]] const BlockTree& global_tree() const noexcept { return global_tree_; }
-  [[nodiscard]] const std::vector<Block>& all_blocks() const noexcept { return all_blocks_; }
+  /// Every block in creation order, genesis first: the pool's Block column
+  /// (every forge and mint enters the pool through global_tree_ first).
+  /// Forging or minting invalidates the span.
+  [[nodiscard]] std::span<const Block> all_blocks() const noexcept {
+    return global_tree_.pool_blocks();
+  }
 
   /// The public view: every block accepted by at least one honest node,
   /// whether on first delivery or later via an orphan flush.
@@ -201,7 +208,6 @@ class Simulation {
   std::size_t leaderships_skipped_ = 0;
   std::vector<PartyId> fault_scratch_;  ///< crash/restart event list reuse
   OrphanBuffer public_orphans_;
-  std::vector<Block> all_blocks_;
   std::vector<Watch> watches_;
   std::vector<Block> delivery_scratch_;  ///< collect_into reuse
   std::vector<Block> accepted_scratch_;  ///< receive-accepted reuse

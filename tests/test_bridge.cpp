@@ -27,7 +27,7 @@ TEST(Bridge, RebuildsTreeShape) {
 
 TEST(Bridge, RejectsOrphans) {
   const Block orphan = make_block(0x1234, 1, 0, 0);
-  EXPECT_THROW(fork_from_blocks({orphan}), std::invalid_argument);
+  EXPECT_THROW(fork_from_blocks(std::span<const Block>(&orphan, 1)), std::invalid_argument);
 }
 
 // The central soundness property of the simulator: every honest execution

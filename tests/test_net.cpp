@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <queue>
 #include <random>
 #include <set>
@@ -162,47 +163,115 @@ TEST(EventCore, LanesMatchAPriorityQueueReference) {
 }
 
 // ---------------------------------------------------------------------------
-// InternTable: one id per distinct Block, coverage by hash
+// The block store: blocks travel under pool ids, tampered copies under aliases
 // ---------------------------------------------------------------------------
 
-TEST(InternTable, InternsEachBlockOnceAcrossIndexGrowth) {
-  net::InternTable table;
+TEST(NetworkStore, ShipsThousandsOfBlocksAcrossPoolGrowthUnchanged) {
+  // An unbound network pools what it is handed in a private tree: a chain of
+  // thousands of blocks (one pool id each, across many index growths) and
+  // their genesis-child siblings come back exactly as sent, and re-sending
+  // them names the same blocks.
+  Network net(2, 0);
   std::vector<Block> blocks;
-  for (std::uint64_t i = 0; i < 5000; ++i) blocks.push_back(test_block(i, 1 + i % 7));
-  for (std::size_t i = 0; i < blocks.size(); ++i)
-    ASSERT_EQ(table.intern(blocks[i]), static_cast<BlockId>(i));
-  EXPECT_EQ(table.size(), blocks.size());
-  for (std::size_t i = 0; i < blocks.size(); ++i) {
-    const auto id = static_cast<BlockId>(i);
-    ASSERT_EQ(table.intern(blocks[i]), id);  // a repeat finds the same id
-    ASSERT_EQ(table.find(blocks[i].hash), id);
-    ASSERT_EQ(table.block(id), blocks[i]);
-    ASSERT_EQ(table.canonical(id), id);
+  BlockHash tip = genesis_block().hash;
+  for (std::uint64_t i = 0; i < 5000; ++i) {
+    blocks.push_back(make_block(i % 3 == 2 ? genesis_block().hash : tip, 1 + i, 0, i));
+    if (i % 3 != 2) tip = blocks.back().hash;
   }
-  EXPECT_EQ(table.size(), blocks.size());
-  EXPECT_EQ(table.find(test_block(99999).hash), net::InternTable::kNoId);
+  const std::size_t last = blocks.back().slot;
+  for (const Block& b : blocks) net.inject(b, 0, last);
+  EXPECT_EQ(drain(net, 0, last), blocks);
+  for (const Block& b : blocks) net.inject_all(b, last + 1);
+  EXPECT_EQ(drain(net, 0, last + 1), blocks);
+  EXPECT_EQ(drain(net, 1, last + 1), blocks);
 }
 
-TEST(InternTable, TamperedCopyGetsItsOwnIdAndTheHashsCanonicalId) {
-  net::InternTable table;
-  const Block genuine = test_block(1);
+TEST(NetworkStore, TamperedAndSlotForgedCopiesShipAsSentAndShareTheHashsDedupe) {
+  // Ring of 5: party 0 broadcasts the genuine block to ring neighbors 1 and
+  // 4. Parties 2 and 3 were handed copies under the same hash, one with a
+  // tampered payload, one with a forged slot. Each copy is delivered as sent,
+  // and each covers its recipient for the hash: the relays of the genuine
+  // block toward 2 and 3, and of the copies toward anyone, are deduplicated.
+  NetConfig cfg;
+  cfg.topology = TopologyKind::Ring;
+  Network net(5, 0, cfg);
+  BlockTree tree;
+  const Block genuine = test_block(1, 1, 0);
+  tree.add(genuine);
   Block tampered = genuine;
   tampered.payload ^= 0xbad;
   Block forged = genuine;
   forged.slot += 5;
-  const BlockId g = table.intern(genuine);
-  const BlockId t = table.intern(tampered);
-  const BlockId f = table.intern(forged);
-  EXPECT_NE(t, g);
-  EXPECT_NE(f, t);
-  EXPECT_EQ(table.block(t), tampered);  // delivered as sent
-  EXPECT_EQ(table.block(f), forged);
-  EXPECT_EQ(table.canonical(t), g);  // covered as the hash
-  EXPECT_EQ(table.canonical(f), g);
-  EXPECT_EQ(table.intern(tampered), t);
-  EXPECT_EQ(table.find(genuine.hash), g);
-  const BlockId other = table.intern(test_block(2));
-  EXPECT_EQ(table.canonical(other), other);
+  net.broadcast_chain(tree, genuine, 1);  // pools the genuine block; due 2
+  net.inject(tampered, 2, 2);
+  net.inject(forged, 3, 6);
+  net.inject(tampered, 2, 7);  // the same copy again: the same alias
+  std::vector<std::vector<Block>> got(5);
+  for (std::size_t slot = 2; slot <= 10; ++slot)
+    for (PartyId p = 0; p < 5; ++p)
+      for (const Block& b : drain(net, p, slot)) got[p].push_back(b);
+  EXPECT_TRUE(got[0].empty());
+  EXPECT_EQ(got[1], std::vector<Block>{genuine});
+  EXPECT_EQ(got[4], std::vector<Block>{genuine});
+  EXPECT_EQ(got[2], (std::vector<Block>{tampered, tampered}));
+  EXPECT_EQ(got[3], std::vector<Block>{forged});
+}
+
+TEST(NetworkStore, AnUnresolvableBlockThrowsNamingItsSlotAndIssuer) {
+  // Neither pooled nor poolable, and no pooled block shares its hash.
+  const auto expect_named = [](const std::function<void()>& send) {
+    try {
+      send();
+      ADD_FAILURE() << "no exception";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("party 3's slot-7 block"), std::string::npos) << what;
+    }
+  };
+  const Block parent = test_block(1, 2, 3);
+  const Block orphan = make_block(parent.hash, 7, 3, 2);  // parent never handed over
+  Block broken = test_block(3, 7, 3);
+  broken.payload ^= 1;  // header not intact
+  const Block low = make_block(parent.hash, 2, 3, 4);     // slot not above the parent's
+  for (const NetConfig& cfg : {NetConfig::degenerate(), [] {
+                                 NetConfig ring;
+                                 ring.topology = TopologyKind::Ring;
+                                 return ring;
+                               }()}) {
+    Network net(4, 0, cfg);
+    expect_named([&] { net.inject(orphan, 1, 7); });
+    expect_named([&] { net.inject_all(broken, 7); });
+    expect_named([&] { net.broadcast(orphan, 7); });
+    expect_named([&] { net.resync_ship(broken, 0, 7); });
+    net.inject_all(parent, 2);
+    EXPECT_THROW(net.inject(low, 0, 2), std::invalid_argument);
+    net.inject(orphan, 1, 7);  // its parent is pooled now
+  }
+}
+
+TEST(NetworkStore, AnUnboundNetworkAcquiresNoPoolUntilItsFirstBlock) {
+  const std::size_t before = BlockTree::arena_stats().acquired;
+  {
+    Network net(3, 1);
+    std::vector<Block> buf;
+    for (std::size_t slot = 1; slot <= 3; ++slot)
+      for (PartyId p = 0; p < 3; ++p) net.collect_into(p, slot, &buf);
+    net.crash_recipient(1);
+    EXPECT_EQ(BlockTree::arena_stats().acquired, before);
+    net.inject(test_block(1), 0, 3);
+    EXPECT_EQ(BlockTree::arena_stats().acquired, before + 1);
+    net.inject_all(test_block(2), 3);
+    EXPECT_EQ(BlockTree::arena_stats().acquired, before + 1);
+  }
+  // A bound network uses the pool it is given.
+  BlockTree pool;
+  const std::size_t bound = BlockTree::arena_stats().acquired;
+  Network net(3, 1);
+  net.bind_views({}, pool);
+  net.inject_all(test_block(1), 1);
+  EXPECT_EQ(BlockTree::arena_stats().acquired, bound);
+  EXPECT_EQ(pool.pool_blocks().size(), 2u);  // the network pooled it there
+  EXPECT_FALSE(pool.contains(test_block(1).hash));  // and admitted it to no view
 }
 
 // ---------------------------------------------------------------------------
@@ -413,8 +482,8 @@ TEST(HeteroNetwork, AdversarialInjectionBypassesTopologyAndLatency) {
 }
 
 TEST(HeteroNetwork, TamperedCopyIsDeliveredAsItselfButSharesItsHashDedupe) {
-  // The transport interns blocks by value: a copy with a forged payload under
-  // a genuine block's hash gets its own id, so it is delivered exactly as
+  // The transport names blocks by value: a copy with a forged payload under
+  // a genuine block's hash gets an alias id, so it is delivered exactly as
   // sent, but relay dedupe stays keyed by hash.
   NetConfig cfg;
   cfg.topology = TopologyKind::Ring;
@@ -511,7 +580,7 @@ struct BoundNetwork {
     nodes.reserve(parties);
     for (PartyId p = 0; p < parties; ++p)
       nodes.emplace_back(p, TieBreak::ConsistentHash, &schedule, pool.view());
-    net.bind_views(nodes);
+    net.bind_views(nodes, pool);
     net.attach_faults(faults);
   }
 
@@ -739,24 +808,30 @@ TEST(RedeliveryElision, ACrashInvalidatesTheChainSettledStop) {
   EXPECT_EQ(bound.pending(), std::vector<std::size_t>(4, 0));
 }
 
-TEST(RedeliveryElision, ATamperedAncestorBlocksTheStop) {
+TEST(RedeliveryElision, ATamperedAncestorCopyLeavesTheStopExact) {
+  // The network is handed a tampered copy of b1 before the pooled b1. The
+  // copy travels under an alias and never settles; the pooled b1 may, once
+  // every view holds it. Either way publish_chain ships what the full
+  // per-ancestor inject_all loop ships.
   for (const NetConfig& cfg : {NetConfig::degenerate(), ring()}) {
-    BoundNetwork bound(4, cfg);
-    const auto [b1, b2] = pooled_chain(bound);
+    BoundNetwork walk(4, cfg);
+    BoundNetwork loop(4, cfg);
+    const auto [b1, b2] = pooled_chain(walk);
+    pooled_chain(loop);
     Block tampered = b1;
     tampered.payload ^= 0xbad;
-    bound.net.inject_all(tampered, 1);  // the network's canonical copy of b1
-    bound.deliver(1);
-    for (HonestNode& node : bound.nodes) node.receive(b1);
-    bound.net.publish_chain(bound.pool, b2.hash, 2);
-    bound.deliver(2);
-    // Neither b1 nor b2 may settle: the pooled b1 is not the canonical copy,
-    // so every re-publish ships it to everyone, and b2 rides on it.
-    for (std::size_t slot = 3; slot < 5; ++slot) {
-      bound.net.publish_chain(bound.pool, b2.hash, slot);
-      EXPECT_EQ(bound.pending(), std::vector<std::size_t>(4, 1))
-          << "heterogeneous: " << cfg.heterogeneous();
-      for (const auto& got : bound.deliver(slot)) EXPECT_EQ(got, std::vector<Block>{b1});
+    for (BoundNetwork* bound : {&walk, &loop}) {
+      bound->net.inject_all(tampered, 1);
+      for (const auto& got : bound->deliver(1)) EXPECT_EQ(got, std::vector<Block>{tampered});
+      for (HonestNode& node : bound->nodes) node.receive(b1);
+    }
+    for (std::size_t slot = 2; slot < 5; ++slot) {
+      walk.net.publish_chain(walk.pool, b2.hash, slot);
+      for (const Block& b : {b1, b2}) loop.net.inject_all(b, slot);
+      EXPECT_EQ(walk.pending(), loop.pending())
+          << "slot " << slot << ", heterogeneous: " << cfg.heterogeneous();
+      EXPECT_EQ(walk.deliver(slot), loop.deliver(slot))
+          << "slot " << slot << ", heterogeneous: " << cfg.heterogeneous();
     }
   }
 }
@@ -781,8 +856,8 @@ TEST(RedeliveryElision, ATamperedCopyUnderAHeldHashShipsAsBefore) {
 }
 
 TEST(RedeliveryElision, ATamperedCopyInternedFirstIsNeverSkipped) {
-  // The copy that first reaches the network is the hash's canonical id; when
-  // it is not the pooled block, holding the hash does not make it a no-op.
+  // A copy that reaches the network before the pooled block's first send is
+  // still an alias: holding the hash does not make it a no-op.
   for (const NetConfig& cfg : {NetConfig::degenerate(), ring()}) {
     BoundNetwork bound(4, cfg);
     const Block b = test_block(1, 1, kAdversary);
@@ -900,7 +975,7 @@ ComposedGossipOutcome composed_gossip_run(const GossipShape& shape) {
 
 TEST(FacadeEquivalence, ComposedAdversarialGossipPinHolds) {
   // Computed on the heap-of-Blocks transport, before the transport moved to
-  // interned ids; it must never be re-pinned for a refactor.
+  // block ids; it must never be re-pinned for a refactor.
   const ComposedGossipOutcome out = composed_gossip_run({24, 300, 31});
   // The counters are folded into the digest too; pinned one by one so a
   // failure names what moved.
@@ -998,7 +1073,7 @@ class FullWalkRandomizedAdversary : public Adversary {
     for (BlockHash h : sim.global_tree().max_length_heads())
       if (sim.global_tree().block(h).slot < slot) parents.push_back(h);
     if (parents.empty() || rng_.bernoulli(0.25)) {
-      const std::vector<Block>& blocks = sim.all_blocks();
+      const std::span<const Block> blocks = sim.all_blocks();
       for (int tries = 0; tries < 4; ++tries) {
         const Block& b = blocks[rng_.below(blocks.size())];
         if (b.slot < slot) {

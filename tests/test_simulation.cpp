@@ -7,6 +7,7 @@
 #include "chars/bernoulli.hpp"
 #include "oracle/characteristic.hpp"
 #include "protocol/adversary.hpp"
+#include "protocol/faults/injector.hpp"
 
 namespace mh {
 namespace {
@@ -220,21 +221,71 @@ TEST(Simulation, RunUntilIsIncremental) {
 }
 
 TEST(Simulation, HoldsExactlyOneBlockPool) {
-  // Every node view and the public view share the global tree's pool:
-  // constructing a Simulation acquires one pool from the arena, and
-  // destroying it returns that one pool.
+  // Every node view, the public view and the network share the global tree's
+  // pool: constructing a Simulation acquires one pool from the arena, and
+  // destroying it returns that one pool. Gossip relays and fault re-syncs
+  // add none.
   const SymbolLaw law{0.4, 0.25, 0.35};
   Rng rng(31);
   const LeaderSchedule schedule = LeaderSchedule::from_symbol_law(law, 40, 16, rng);
-  RandomizedAdversary adversary(31);
-  const BlockTree::ArenaStats before = BlockTree::arena_stats();
-  {
-    Simulation sim(schedule, SimulationConfig{TieBreak::AdversarialOrder, 5}, 2, &adversary);
-    EXPECT_EQ(BlockTree::arena_stats().acquired, before.acquired + 1);
-    sim.run();
-    EXPECT_EQ(BlockTree::arena_stats().acquired, before.acquired + 1);
+  Rng plan_rng(32);
+  faults::FaultInjector injector(
+      faults::sample_fault_plan(faults::FaultProfile::Mixed, 16, 40, 2, plan_rng), 16, 40);
+  net::NetConfig ring;
+  ring.topology = net::TopologyKind::Ring;
+  for (const bool gossip : {false, true}) {
+    RandomizedAdversary adversary(31);
+    const BlockTree::ArenaStats before = BlockTree::arena_stats();
+    {
+      Simulation sim(schedule, SimulationConfig{TieBreak::AdversarialOrder, 5}, 2, &adversary,
+                     gossip ? &injector : nullptr, gossip ? ring : net::NetConfig{});
+      EXPECT_EQ(BlockTree::arena_stats().acquired, before.acquired + 1) << gossip;
+      sim.run();
+      EXPECT_EQ(BlockTree::arena_stats().acquired, before.acquired + 1) << gossip;
+    }
+    EXPECT_EQ(BlockTree::arena_stats().released, before.released + 1) << gossip;
   }
-  EXPECT_EQ(BlockTree::arena_stats().released, before.released + 1);
+}
+
+TEST(Simulation, AllBlocksIsThePoolsCreationOrder) {
+  // all_blocks() is the pool's Block column. It is the execution's creation
+  // order only if nothing but the global tree ever pools a block: the
+  // network, the node views and the public view only name pooled blocks. So
+  // the column must match the global tree's arrival order on every strategy,
+  // transport and fault profile.
+  const SymbolLaw law{0.4, 0.25, 0.35};
+  const std::size_t parties = 8;
+  const std::size_t horizon = 60;
+  const std::size_t delta = 2;
+  net::NetConfig ring;
+  ring.topology = net::TopologyKind::Ring;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed)
+    for (const Strategy strategy : {Strategy::Randomized, Strategy::Balance,
+                                    Strategy::PrivateChain})
+      for (const bool gossip : {false, true})
+        for (const bool faulted : {false, true}) {
+          Rng rng(seed);
+          const LeaderSchedule schedule =
+              LeaderSchedule::from_symbol_law(law, horizon, parties, rng);
+          const std::unique_ptr<Adversary> adversary = make_strategy(strategy, 10, 5, rng());
+          faults::FaultInjector injector(
+              faults::sample_fault_plan(faults::FaultProfile::Mixed, parties, horizon, delta,
+                                        rng),
+              parties, horizon);
+          Simulation sim(schedule, SimulationConfig{TieBreak::AdversarialOrder, rng()}, delta,
+                         adversary.get(), faulted ? &injector : nullptr,
+                         gossip ? ring : net::NetConfig{});
+          sim.run();
+          const std::span<const Block> blocks = sim.all_blocks();
+          const std::vector<BlockHash>& order = sim.global_tree().arrival_order();
+          ASSERT_EQ(blocks.size(), order.size())
+              << "seed " << seed << ", " << strategy_name(strategy) << ", gossip " << gossip
+              << ", faults " << faulted;
+          for (std::size_t i = 0; i < blocks.size(); ++i)
+            ASSERT_EQ(blocks[i].hash, order[i])
+                << "seed " << seed << ", " << strategy_name(strategy) << ", gossip " << gossip
+                << ", faults " << faulted << ", block " << i;
+        }
 }
 
 }  // namespace
