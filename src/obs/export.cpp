@@ -7,6 +7,8 @@
 #include <stdexcept>
 #include <variant>
 
+#include <sys/resource.h>
+
 #include "engine/thread_pool.hpp"
 #include "support/table.hpp"
 
@@ -236,6 +238,14 @@ Json snapshot_json(const Snapshot& snapshot) {
       .set("histograms", std::move(histograms));
 }
 
+/// The process's peak resident set so far, in KiB (Linux reports ru_maxrss in
+/// KiB); 0 if getrusage fails.
+std::int64_t peak_rss_kb() noexcept {
+  rusage usage{};
+  if (getrusage(RUSAGE_SELF, &usage) != 0) return 0;
+  return static_cast<std::int64_t>(usage.ru_maxrss);
+}
+
 }  // namespace
 
 Json JsonExporter::document(const RunMeta& meta, const Snapshot& snapshot, Json results) {
@@ -247,7 +257,8 @@ Json JsonExporter::document(const RunMeta& meta, const Snapshot& snapshot, Json 
                       .set("threads", std::uint64_t{meta.threads})
                       .set("obs_compiled", obs_compiled())
                       .set("obs_enabled", meta.obs_enabled)
-                      .set("unix_time", static_cast<std::int64_t>(std::time(nullptr))));
+                      .set("unix_time", static_cast<std::int64_t>(std::time(nullptr)))
+                      .set("peak_rss_kb", peak_rss_kb()));
   doc.set("results", std::move(results));
   doc.set("metrics", snapshot_json(snapshot));
   return doc;

@@ -6,10 +6,14 @@
 //     "schema":  "mh-bench-v1",
 //     "bench":   "<name>",
 //     "meta":    { "git_rev", "threads", "obs_compiled", "obs_enabled",
-//                  "unix_time" },
+//                  "unix_time", "peak_rss_kb" },
 //     "results": { ...bench-specific rows... },
 //     "metrics": { "counters": [...], "gauges": [...], "histograms": [...] }
 //   }
+//
+// "peak_rss_kb" is the process's peak resident set (getrusage ru_maxrss) when
+// the document is built, so a bench that writes its artifact last records
+// the peak of every cell it ran.
 //
 // Metric arrays are sorted by name so artifacts diff cleanly run to run;
 // histogram buckets are emitted sparsely ({"lo": 2^(i-1), "count": n} for

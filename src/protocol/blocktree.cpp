@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <memory>
+#include <string>
 #include <utility>
 
 #include "obs/obs.hpp"
@@ -218,7 +219,7 @@ BlockTree::BlockTree(std::size_t max_blocks) : BlockTree(acquire_pool(max_blocks
 BlockTree::BlockTree(std::shared_ptr<Pool> pool)
     : pool_(std::move(pool)),
       member_{1},
-      arrival_{genesis_block().hash},
+      arrival_{0},
       head_idx_{0},
       min_hash_head_(genesis_block().hash) {}
 
@@ -239,21 +240,26 @@ std::uint32_t BlockTree::index_of(BlockHash hash) const {
 
 BlockTree::AddResult BlockTree::try_add(const Block& block) {
   Pool& pool = *pool_;
-  std::uint32_t id = pool.find(block.hash);
-  std::uint32_t parent = kEmptySlot;
+  const std::uint32_t id = pool.find(block.hash);
   if (id != kEmptySlot) {
-    if (member(id)) return AddResult::Duplicate;
-    // The pooled copy passed the header check when it entered the pool, so
-    // equality with it is integrity (and its parent id is already known).
-    if (!(pool.blocks[id] == block)) return AddResult::Invalid;
-    parent = pool.parents[id];
-  } else {
-    if (!verify_block_integrity(block)) return AddResult::Invalid;
-    parent = pool.find(block.parent);
+    // A member's copy is a Duplicate, tampered or not. Otherwise the pooled
+    // copy passed the header check when it entered the pool, so equality
+    // with it is integrity.
+    if (!member(id) && !(pool.blocks[id] == block)) return AddResult::Invalid;
+    return try_add(id);
   }
+  if (!verify_block_integrity(block)) return AddResult::Invalid;
+  const std::uint32_t parent = pool.find(block.parent);
   if (!member(parent)) return AddResult::Orphan;  // also: parent not pooled
   if (block.slot <= pool.slots[parent]) return AddResult::Invalid;
-  if (id == kEmptySlot) id = pool.insert(block, parent);
+  admit(pool.insert(block, parent));
+  return AddResult::Added;
+}
+
+BlockTree::AddResult BlockTree::try_add(std::uint32_t id) {
+  MH_REQUIRE_MSG(id < pool_->blocks.size(), "not a pool id: " + std::to_string(id));
+  if (member(id)) return AddResult::Duplicate;
+  if (!member(pool_->parents[id])) return AddResult::Orphan;
   admit(id);
   return AddResult::Added;
 }
@@ -274,10 +280,17 @@ void BlockTree::admit(std::uint32_t id) {
     head_idx_.push_back(id);
     min_hash_head_ = std::min(min_hash_head_, hash);
   }
-  arrival_.push_back(hash);
+  arrival_.push_back(id);
 }
 
 bool BlockTree::contains(BlockHash hash) const { return member(pool_->find(hash)); }
+
+std::vector<BlockHash> BlockTree::arrival_order() const {
+  std::vector<BlockHash> out;
+  out.reserve(arrival_.size());
+  for (const std::uint32_t id : arrival_) out.push_back(pool_->blocks[id].hash);
+  return out;
+}
 
 std::uint32_t BlockTree::pool_id(BlockHash hash) const noexcept { return pool_->find(hash); }
 
@@ -375,7 +388,7 @@ void OrphanBuffer::buffer(const Block& block) {
   if (hashes_.insert(block.hash).second) orphans_.push_back(block);
 }
 
-void OrphanBuffer::flush(BlockTree& tree, std::vector<Block>* accepted) {
+void OrphanBuffer::flush(BlockTree& tree, std::vector<std::uint32_t>* accepted) {
   bool progress = true;
   while (progress && !orphans_.empty()) {
     progress = false;
@@ -384,7 +397,8 @@ void OrphanBuffer::flush(BlockTree& tree, std::vector<Block>* accepted) {
     for (const Block& b : orphans_) {
       switch (tree.try_add(b)) {
         case BlockTree::AddResult::Added:
-          if (accepted) accepted->push_back(b);
+          // The view admitted b last, so its id closes the arrival order.
+          if (accepted) accepted->push_back(tree.arrival_ids().back());
           hashes_.erase(b.hash);
           progress = true;
           MH_OBS_COUNT("protocol.node.orphans_flushed", 1);

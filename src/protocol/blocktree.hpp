@@ -14,9 +14,10 @@
 // indexed by (id, level) — up(i, j) = the 2^j-th ancestor of id i, up(i, 0)
 // the parent; and the hash -> id map, a flat open-addressing table (keys are
 // already FNV digests). A BlockTree is a VIEW over a pool: a membership flag
-// per pool id, its own arrival-order hash list, its own maximum-length head
-// set (arrival order) and min-hash head. This is the paper's picture: the
-// fork is a single tree and each honest party's view is a subset of it.
+// per pool id, its own arrival order as a list of 4-byte pool ids, its own
+// maximum-length head set (arrival order) and min-hash head. This is the
+// paper's picture: the fork is a single tree and each honest party's view is
+// a subset of it.
 //
 // A standalone BlockTree() owns a private pool; view() makes another,
 // genesis-only tree over the same pool. A simulation builds every node view
@@ -32,7 +33,11 @@
 // re-hashed, and a block enters only once its parent is pooled and its slot
 // exceeds the parent's. A later copy of a pooled hash is validated by
 // equality with the pooled block, so a tampered copy (same hash field,
-// different header) is still Invalid, without a second hash.
+// different header) is still Invalid, without a second hash. Admission has
+// one path, by pool id: try_add(id) is two membership tests (the id, its
+// parent) and no hash lookup, and try_add(const Block&) resolves a pooled
+// copy to its id and delegates to it. Only a block new to the pool takes a
+// path of its own, and it is pooled only when this view admits it.
 //
 // Three pool-level accessors serve the transport, which names blocks by pool
 // id and stores none itself: pool_id (hash -> id, whichever view admitted the
@@ -105,10 +110,16 @@ class BlockTree {
   /// view; Invalid if its header is not intact (re-hashed on first sight,
   /// compared with the pooled copy after); Orphan if its parent is not in
   /// this view; Invalid if its slot does not exceed the parent's; else
-  /// Added. The block is ignored unless `Added`. Throws
-  /// std::invalid_argument (MH_REQUIRE) if pooling it would overflow the
-  /// 32-bit id or chain-length space.
+  /// Added. The block is ignored unless `Added`; a pooled copy is admitted
+  /// through try_add(id). Throws std::invalid_argument (MH_REQUIRE) if
+  /// pooling it would overflow the 32-bit id or chain-length space.
   AddResult try_add(const Block& block);
+
+  /// Admit the pooled block `id`: Duplicate if it is in this view, Orphan if
+  /// its parent is not, else Added. A pooled block passed the integrity and
+  /// slot checks on entry, so it is never Invalid. O(1), no hash lookup.
+  /// Throws std::invalid_argument if `id` is not a pool id.
+  AddResult try_add(std::uint32_t id);
 
   /// `try_add`, collapsed to "is the block in the tree after the call".
   bool add(const Block& block) {
@@ -117,6 +128,8 @@ class BlockTree {
   }
 
   [[nodiscard]] bool contains(BlockHash hash) const;
+  /// Is pool id `id` a member of this view? O(1); false for any other id.
+  [[nodiscard]] bool holds(std::uint32_t id) const noexcept { return member(id); }
   [[nodiscard]] const Block& block(BlockHash hash) const;
   /// Chain length from genesis (genesis has length 0).
   [[nodiscard]] std::size_t length(BlockHash hash) const;
@@ -147,8 +160,11 @@ class BlockTree {
   /// requires len <= length(head). O(log chain).
   [[nodiscard]] BlockHash ancestor_at_length(BlockHash head, std::size_t len) const;
 
-  /// This view's block hashes in arrival order (genesis first).
-  [[nodiscard]] const std::vector<BlockHash>& arrival_order() const noexcept { return arrival_; }
+  /// This view's block hashes in arrival order (genesis first): a copy,
+  /// read through the pool column. O(n).
+  [[nodiscard]] std::vector<BlockHash> arrival_order() const;
+  /// This view's pool ids in arrival order (genesis, id 0, first).
+  [[nodiscard]] std::span<const std::uint32_t> arrival_ids() const noexcept { return arrival_; }
 
   // --- pool level: every block of the pool, whichever view admitted it ----
 
@@ -195,7 +211,7 @@ class BlockTree {
 
   std::shared_ptr<Pool> pool_;
   std::vector<std::uint8_t> member_;    ///< membership flag per pool id
-  std::vector<BlockHash> arrival_;      ///< member hashes, arrival order
+  std::vector<std::uint32_t> arrival_;  ///< member pool ids, arrival order
   std::vector<std::uint32_t> head_idx_;  ///< max-length member ids, arrival order
   std::size_t best_length_ = 0;
   BlockHash min_hash_head_ = 0;  ///< min hash among head_idx_
@@ -210,9 +226,10 @@ class OrphanBuffer {
   /// Buffers the block unless an identical hash is already waiting.
   void buffer(const Block& block);
   /// Retries every buffered block against `tree` until no further progress;
-  /// newly admitted blocks are appended to `*accepted` (when non-null) in
-  /// acceptance order. Duplicate and Invalid outcomes drop the block.
-  void flush(BlockTree& tree, std::vector<Block>* accepted);
+  /// the pool ids of newly admitted blocks are appended to `*accepted` (when
+  /// non-null) in acceptance order. Duplicate and Invalid outcomes drop the
+  /// block.
+  void flush(BlockTree& tree, std::vector<std::uint32_t>* accepted);
   [[nodiscard]] std::size_t size() const noexcept { return orphans_.size(); }
   /// Is a block of this hash waiting for its ancestry?
   [[nodiscard]] bool contains(BlockHash hash) const { return hashes_.count(hash) != 0; }

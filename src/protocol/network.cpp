@@ -175,7 +175,7 @@ bool Network::view_holds(PartyId recipient, BlockId id) {
   if (held_.size() <= id) held_.resize(pool_size(), 0);
   std::uint32_t& prefix = held_[id];
   if (recipient < prefix) return true;
-  if (!views_[recipient].tree().contains(block(id, store_->pool_blocks()).hash)) return false;
+  if (!views_[recipient].tree().holds(id)) return false;
   // Views only grow: the next holder extends the prefix.
   if (recipient == prefix) ++prefix;
   return true;
@@ -652,17 +652,14 @@ void Network::resync_ship(const Block& block, PartyId recipient, std::size_t slo
   MH_OBS_COUNT("protocol.faults.resync_blocks", 1);
 }
 
-void Network::collect_into(PartyId recipient, std::size_t slot, std::vector<Block>* out) {
+void Network::collect_into(PartyId recipient, std::size_t slot, std::vector<BlockId>* out) {
   MH_REQUIRE_MSG(recipient < parties_,
                  "collect for unknown party " + std::to_string(recipient) +
                      " (network has " + std::to_string(parties_) + " parties)");
   out->clear();
-  // Popping pools nothing, so the column stays put (no store: no entries).
-  const std::span<const Block> pool = store_ ? store_->pool_blocks() : std::span<const Block>{};
   if (!hetero_) {
     expire_watermarks(recipient, slot);
-    events_.collect_due(recipient, slot,
-                        [&](BlockId id) { out->push_back(block(id, pool)); });
+    events_.collect_due(recipient, slot, [&](BlockId id) { out->push_back(id); });
     return;
   }
   // Gossip forwarding: every pop relays to the neighbors not yet scheduled to
@@ -677,9 +674,18 @@ void Network::collect_into(PartyId recipient, std::size_t slot, std::vector<Bloc
   now_ = std::max(now_, slot);
   const bool faulted = fault_window(slot);
   events_.collect_due(recipient, slot, [&](BlockId id) {
-    out->push_back(block(id, pool));
+    out->push_back(id);
     hetero_relay(recipient, id, slot, faulted);
   });
+}
+
+void Network::collect_into(PartyId recipient, std::size_t slot, std::vector<Block>* out) {
+  collect_into(recipient, slot, &collect_scratch_);
+  out->clear();
+  if (collect_scratch_.empty()) return;  // no store yet, when unbound
+  // Popping pools nothing, so the column stays put.
+  const std::span<const Block> pool = store_->pool_blocks();
+  for (const BlockId id : collect_scratch_) out->push_back(block(id, pool));
 }
 
 }  // namespace mh

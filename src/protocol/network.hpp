@@ -5,10 +5,12 @@
 // id of its hash's copy in the execution's BlockTree pool (bind_views; an
 // unbound Network pools what it is handed in a private tree made on first
 // use), and moves only 32-bit ids: every scheduled send is a net::EventCore
-// lane entry keyed (due slot, scheduling order), and collect_into reads the
-// Blocks back from the pool's Block column. A block the pool lacks is pooled
-// on the spot, so it must arrive after its parent. A copy that differs from
-// the pooled block under the same hash (a tampered copy) gets an alias id:
+// lane entry keyed (due slot, scheduling order), and collect_into hands the
+// popped ids on, which the Simulation admits to the views by id (the Block
+// overload reads them back from the pool's Block column). A block the pool
+// lacks is pooled on the spot, so it must arrive after its parent. A copy
+// that differs from the pooled block under the same hash (a tampered copy)
+// gets an alias id:
 // aliases count down from 0xfffffffe while pool ids count up from 0, and a
 // pool id that would reach them throws, so the two never meet. An alias is
 // delivered as it was sent, but covered as its hash's pool id, so every dedupe
@@ -221,12 +223,24 @@ class Network {
   /// the chain-complete contract.
   void resync_ship(const Block& block, PartyId recipient, std::size_t slot);
 
-  /// Replace `*out` with the deliveries for `recipient` due at the onset of
-  /// `slot`, in (due, seq) event order. In heterogeneous mode every pop — a
-  /// duplicate too — is relayed to the recipient's out-neighbors not yet
-  /// scheduled to receive it (due >= slot + 1, so relay cascades never loop
-  /// within a slot).
+  /// Replace `*out` with the ids of the deliveries for `recipient` due at
+  /// the onset of `slot`, in (due, seq) event order: pool ids, and an alias
+  /// id for each tampered copy (is_alias, block). In heterogeneous mode every
+  /// pop — a duplicate too — is relayed to the recipient's out-neighbors not
+  /// yet scheduled to receive it (due >= slot + 1, so relay cascades never
+  /// loop within a slot).
+  void collect_into(PartyId recipient, std::size_t slot, std::vector<net::BlockId>* out);
+  /// The same deliveries as Blocks: the ids above read through the pool
+  /// column and the alias table.
   void collect_into(PartyId recipient, std::size_t slot, std::vector<Block>* out);
+
+  /// Does `id` name a tampered copy rather than a pooled block?
+  [[nodiscard]] bool is_alias(net::BlockId id) const noexcept { return id >= alias_floor(); }
+  /// The block an id from collect_into names: the pooled copy, or the
+  /// tampered copy an alias stands for.
+  [[nodiscard]] const Block& block(net::BlockId id) const {
+    return block(id, store_->pool_blocks());
+  }
 
  private:
   using BlockId = net::BlockId;
@@ -422,6 +436,7 @@ class Network {
   /// the per-recipient dues); keeps the uniform-broadcast fast path O(1).
   std::unordered_map<BlockHash, std::size_t> sent_all_;
   std::vector<BlockHash> lift_scratch_;  ///< ancestors pending ship, reused
+  std::vector<BlockId> collect_scratch_;  ///< the Block collect_into's ids, reused
 };
 
 }  // namespace mh

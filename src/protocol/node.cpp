@@ -1,5 +1,7 @@
 #include "protocol/node.hpp"
 
+#include <span>
+#include <string>
 #include <utility>
 
 #include "obs/obs.hpp"
@@ -15,15 +17,28 @@ HonestNode::HonestNode(PartyId id, TieBreak rule, const ScheduleSource* schedule
 
 // blocks_received is counted (aggregated) by Simulation::deliver_due / step;
 // receive() itself only records the rare outcomes.
-void HonestNode::receive(const Block& block, std::vector<Block>* accepted) {
+void HonestNode::receive(const Block& block, std::vector<std::uint32_t>* accepted) {
+  admit(block, BlockTree::kNoId, accepted);
+}
+
+void HonestNode::receive(std::uint32_t id, std::vector<std::uint32_t>* accepted) {
+  const std::span<const Block> pool = tree_.pool_blocks();
+  MH_REQUIRE_MSG(id < pool.size(), "not a pool id: " + std::to_string(id));
+  admit(pool[id], id, accepted);
+}
+
+void HonestNode::admit(const Block& block, std::uint32_t id,
+                       std::vector<std::uint32_t>* accepted) {
   // Signature check; header integrity is the tree's (checked once per pool).
   if (!schedule_->eligible(block.issuer, block.slot)) {
     MH_OBS_COUNT("protocol.node.invalid_dropped", 1);
     return;
   }
-  switch (tree_.try_add(block)) {
+  // The tree's try_add(const Block&) hands a pooled copy to try_add(id).
+  switch (id == BlockTree::kNoId ? tree_.try_add(block) : tree_.try_add(id)) {
     case BlockTree::AddResult::Added:
-      if (accepted) accepted->push_back(block);
+      // The view admitted the block last, so its id closes the arrival order.
+      if (accepted) accepted->push_back(tree_.arrival_ids().back());
       orphans_.flush(tree_, accepted);
       break;
     case BlockTree::AddResult::Orphan:

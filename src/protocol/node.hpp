@@ -21,11 +21,18 @@ class HonestNode {
   /// the block to the local view, whose try_add checks header integrity.
   /// Blocks whose parents are unknown are buffered (deduplicated) and retried
   /// when an ancestor arrives; blocks the tree reports permanently invalid
-  /// are dropped, never buffered. Every block newly admitted to the view —
-  /// the delivered one and any orphans it unblocked, in acceptance order
-  /// (parents first) — is appended to `*accepted` when non-null, so callers
-  /// can mirror the node's view.
-  void receive(const Block& block, std::vector<Block>* accepted = nullptr);
+  /// are dropped, never buffered. The pool id of every block newly admitted
+  /// to the view — the delivered one and any orphans it unblocked, in
+  /// acceptance order (parents first) — is appended to `*accepted` when
+  /// non-null, so callers can mirror the node's view. A copy of a pooled
+  /// block is admitted by its id (the tree's try_add delegates).
+  void receive(const Block& block, std::vector<std::uint32_t>* accepted = nullptr);
+
+  /// `receive` of the pooled block `id` (a pool id of this node's view): the
+  /// eligibility check reads the pool column, and admission is the tree's
+  /// try_add(id), with no hash lookup and no Block copy. Throws
+  /// std::invalid_argument if `id` is not a pool id.
+  void receive(std::uint32_t id, std::vector<std::uint32_t>* accepted = nullptr);
 
   /// Current longest-chain head under this node's tie-break rule.
   [[nodiscard]] BlockHash best_head() const;
@@ -51,6 +58,11 @@ class HonestNode {
   void crash() noexcept { orphans_.clear(); }
 
  private:
+  /// Both receives: check `block`'s eligibility, admit it by pool `id`
+  /// (try_add(const Block&) when kNoId), then report and flush on Added,
+  /// buffer on Orphan, count a drop on Invalid.
+  void admit(const Block& block, std::uint32_t id, std::vector<std::uint32_t>* accepted);
+
   PartyId id_;
   TieBreak rule_;
   const ScheduleSource* schedule_;

@@ -57,8 +57,8 @@ void Simulation::run_until(std::size_t slot) {
   check_watches(next_slot_);
 }
 
-void Simulation::public_add(const Block& block) {
-  switch (public_tree_.try_add(block)) {
+void Simulation::public_add(std::uint32_t id) {
+  switch (public_tree_.try_add(id)) {
     case BlockTree::AddResult::Added:
       public_orphans_.flush(public_tree_, nullptr);
       break;
@@ -66,7 +66,7 @@ void Simulation::public_add(const Block& block) {
       // Unreachable while mirroring is synchronous and per-node acceptance is
       // parent-first, but the public tree must never silently lose a block
       // again: buffer and retry on progress instead of dropping.
-      public_orphans_.buffer(block);
+      public_orphans_.buffer(all_blocks()[id]);
       break;
     case BlockTree::AddResult::Duplicate:
     case BlockTree::AddResult::Invalid:
@@ -84,13 +84,18 @@ void Simulation::deliver_due(std::size_t slot) {
     if (fault_active_ && faults_->is_down(node.id(), slot)) continue;
     network_.collect_into(node.id(), slot, &delivery_scratch_);
     MH_OBS_ONLY(delivered += delivery_scratch_.size();)
-    for (const Block& b : delivery_scratch_) {
+    for (const net::BlockId id : delivery_scratch_) {
       accepted_scratch_.clear();
-      node.receive(b, &accepted_scratch_);
+      // Every delivered id is pooled (the network pools what it is handed),
+      // except an alias: a tampered copy, received as the Block it is.
+      if (network_.is_alias(id))
+        node.receive(network_.block(id), &accepted_scratch_);
+      else
+        node.receive(id, &accepted_scratch_);
       // Every block the node admitted — including orphans unblocked by this
       // delivery — joins the public tree (the seed dropped flushed orphans,
       // hiding real public-fork disagreements).
-      for (const Block& a : accepted_scratch_) {
+      for (const std::uint32_t accepted : accepted_scratch_) {
         // Observed Delta: the max delay until a node could first ADOPT an
         // honest block — chain-complete acceptance, not raw arrival. (A
         // partial leak parks a block in the orphan buffer where it extends
@@ -102,14 +107,16 @@ void Simulation::deliver_due(std::size_t slot) {
         // the network's degradation — a later unrelated crash must not excuse
         // it. The ratchet precheck keeps slot - a.slot - 1 from underflowing
         // on rushed injections.
-        if ((fault_active_ || hetero_) && a.issuer != kAdversary &&
-            slot > a.slot + 1 + observed_delta_) {
-          const std::size_t raw = slot - a.slot - 1;
-          const std::size_t down =
-              fault_active_ ? faults_->down_slots_in(node.id(), a.slot + 1, slot) : 0;
-          if (raw > down + observed_delta_) observed_delta_ = raw - down;
+        if (fault_active_ || hetero_) {
+          const Block& a = all_blocks()[accepted];
+          if (a.issuer != kAdversary && slot > a.slot + 1 + observed_delta_) {
+            const std::size_t raw = slot - a.slot - 1;
+            const std::size_t down =
+                fault_active_ ? faults_->down_slots_in(node.id(), a.slot + 1, slot) : 0;
+            if (raw > down + observed_delta_) observed_delta_ = raw - down;
+          }
         }
-        public_add(a);
+        public_add(accepted);
       }
     }
   }
@@ -181,10 +188,15 @@ void Simulation::step() {
   //    The chain-synced transport ships each recipient only what it has not
   //    already been scheduled to receive by the block's due slot.
   for (const Block& block : forged) {
-    global_tree_.add(block);
     accepted_scratch_.clear();
-    nodes_[block.issuer].receive(block, &accepted_scratch_);
-    for (const Block& a : accepted_scratch_) public_add(a);
+    // The global view pools the forge and its leader receives it by id,
+    // unless the parent skipped the global view (pooled by the network,
+    // never minted): then the leader's receive pools it.
+    if (global_tree_.try_add(block) == BlockTree::AddResult::Added)
+      nodes_[block.issuer].receive(global_tree_.arrival_ids().back(), &accepted_scratch_);
+    else
+      nodes_[block.issuer].receive(block, &accepted_scratch_);
+    for (const std::uint32_t id : accepted_scratch_) public_add(id);
     std::vector<std::size_t> delays;
     if (adversary_) delays = adversary_->delivery_delays(block, t, *this);
     network_.broadcast_chain(global_tree_, block, t, delays);
@@ -226,10 +238,10 @@ void Simulation::resync_node(PartyId party, std::size_t slot) {
   // parents-first, so shipping the missing suffix in that order keeps the
   // ancestors-first contract; blocks the node already holds are skipped, so
   // the re-ship is bounded by what was actually lost.
-  const HonestNode& node = nodes_[party];
-  for (const BlockHash h : public_tree_.arrival_order()) {
-    if (h == genesis_block().hash || node.tree().contains(h)) continue;
-    network_.resync_ship(public_tree_.block(h), party, slot);
+  const BlockTree& view = nodes_[party].tree();
+  for (const std::uint32_t id : public_tree_.arrival_ids()) {
+    if (view.holds(id)) continue;  // genesis included
+    network_.resync_ship(all_blocks()[id], party, slot);
   }
 }
 
@@ -252,8 +264,10 @@ FaultReport Simulation::fault_report() const {
   // unbounded partition, and the configured-Delta window test below would
   // misfire on legitimate multi-hop delays.
   if (hetero_) return report;
-  for (const Block& b : all_blocks()) {
-    if (b.issuer == kAdversary || b.hash == genesis_block().hash) continue;
+  const std::span<const Block> blocks = all_blocks();
+  for (std::uint32_t id = 1; id < blocks.size(); ++id) {  // genesis excluded
+    const Block& b = blocks[id];
+    if (b.issuer == kAdversary) continue;
     if (b.slot + 1 + network_.delta() > last_onset) continue;  // window still open
     for (const HonestNode& node : nodes_) {
       if (node.id() == b.issuer) continue;
@@ -261,7 +275,7 @@ FaultReport Simulation::fault_report() const {
       if (faults_->down_in_window(node.id(), b.slot + 1, last_onset)) continue;
       // Adoptability, not arrival: a block parked forever in the orphan
       // buffer (ancestry lost to a drop) was "delivered" but extends nothing.
-      if (!node.tree().contains(b.hash)) {
+      if (!node.tree().holds(id)) {
         report.delivery_unbounded = true;
         return report;
       }
@@ -283,12 +297,14 @@ NetReport Simulation::net_report() const {
   // grade is sound without ever being unbounded — gossip on a strongly
   // connected topology delivers eventually; the run merely ended first.
   const std::size_t last_onset = next_slot_;
-  for (const Block& b : all_blocks()) {
-    if (b.issuer == kAdversary || b.hash == genesis_block().hash) continue;
+  const std::span<const Block> blocks = all_blocks();
+  for (std::uint32_t id = 1; id < blocks.size(); ++id) {  // genesis excluded
+    const Block& b = blocks[id];
+    if (b.issuer == kAdversary) continue;
     for (const HonestNode& node : nodes_) {
       if (node.id() == b.issuer) continue;
       if (fault_active_ && faults_->is_down(node.id(), last_onset)) continue;
-      if (node.tree().contains(b.hash)) continue;
+      if (node.tree().holds(id)) continue;
       const std::size_t down =
           fault_active_ ? faults_->down_slots_in(node.id(), b.slot + 1, last_onset) : 0;
       if (last_onset <= b.slot + down) continue;  // window effectively unopened

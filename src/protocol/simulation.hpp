@@ -12,7 +12,9 @@
 //      in [0, Delta] and observes the new blocks immediately.
 //
 // Per-slot cost is proportional to the slot's NEW blocks (chain-synced
-// bucketed transport + incremental BlockTree), not to chain history.
+// transport over per-recipient delivery lanes + incremental BlockTree), not to
+// chain history. Blocks move by pool id from the lanes into the views: a
+// delivery is two membership tests, with no hash lookup and no Block copy.
 #pragma once
 
 #include <memory>
@@ -176,9 +178,10 @@ class Simulation {
   /// first (the public arrival order is parents-first), due at `slot`.
   void resync_node(PartyId party, std::size_t slot);
   void check_watches(std::size_t onset_slot);
-  /// Mirror a node-accepted block into the public tree; out-of-order arrivals
-  /// are buffered and flushed like a node's own orphan set.
-  void public_add(const Block& block);
+  /// Mirror a node-accepted block, by pool id, into the public tree;
+  /// out-of-order arrivals are buffered and flushed like a node's own orphan
+  /// set.
+  void public_add(std::uint32_t id);
   /// The distinct best heads currently adopted across the honest nodes.
   [[nodiscard]] std::vector<BlockHash> distinct_best_heads() const;
   /// The slot-s prefix (deepest block with slot <= s) of the chain at `head`.
@@ -209,8 +212,8 @@ class Simulation {
   std::vector<PartyId> fault_scratch_;  ///< crash/restart event list reuse
   OrphanBuffer public_orphans_;
   std::vector<Watch> watches_;
-  std::vector<Block> delivery_scratch_;  ///< collect_into reuse
-  std::vector<Block> accepted_scratch_;  ///< receive-accepted reuse
+  std::vector<net::BlockId> delivery_scratch_;  ///< collect_into reuse
+  std::vector<std::uint32_t> accepted_scratch_;  ///< receive-accepted pool ids, reused
   Rng rng_;
   std::size_t next_slot_ = 1;
 };

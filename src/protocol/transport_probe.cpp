@@ -34,8 +34,8 @@ TransportProbeOutcome run_probe(std::size_t parties, std::size_t horizon, std::u
   out.divergence = sim.observed_slot_divergence();
   std::uint64_t digest = kFnvOffsetBasis;
   for (const Block& b : sim.all_blocks()) digest = fnv1a_accumulate(digest, b.hash);
-  for (const BlockHash h : sim.public_tree().arrival_order())
-    digest = fnv1a_accumulate(digest, h);
+  for (const std::uint32_t id : sim.public_tree().arrival_ids())
+    digest = fnv1a_accumulate(digest, sim.all_blocks()[id].hash);
   for (const HonestNode& node : sim.nodes())
     digest = fnv1a_accumulate(digest, node.best_head());
   out.digest = fnv1a_accumulate(digest, out.divergence);

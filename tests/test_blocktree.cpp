@@ -376,16 +376,20 @@ TEST(BlockTree, DifferentialFuzzAgainstReferenceTree) {
   }
 }
 
-TEST(BlockTree, ViewsOverOnePoolMatchStandaloneTrees) {
-  // k views sharing one pool against k standalone trees, each pair fed the
-  // same stream in its own order: duplicates, orphans whose parents come
-  // later, slot-invalid children, and tampered copies of pooled hashes (same
-  // hash field, different payload). The streams interleave round-robin, so a
-  // block may enter the pool through any view, and a copy may reach a view
-  // before or after its original is pooled. Every outcome and every
-  // observable must match the standalone twin.
+// k views sharing one pool against k standalone trees, each pair fed the
+// same stream in its own order: duplicates, orphans whose parents come
+// later, slot-invalid children, and tampered copies of pooled hashes (same
+// hash field, different payload). The streams interleave round-robin, so a
+// block may enter the pool through any view, and a copy may reach a view
+// before or after its original is pooled. Every outcome and every
+// observable must match the standalone twin. With `by_id`, each view is
+// handed try_add(id) wherever the stream's block is the pooled copy of its
+// hash, and try_add(const Block&) only for a block new to the pool or a
+// tampered copy; the standalone twins always take the Block path.
+void expect_views_match_standalone_trees(bool by_id) {
   constexpr std::size_t kViews = 4;
   Rng rng(0x900155);
+  std::size_t id_adds = 0;
   for (int round = 0; round < 6; ++round) {
     std::vector<Block> valid{genesis_block()};
     std::vector<Block> stream{genesis_block()};  // genesis re-delivery: Duplicate
@@ -421,8 +425,13 @@ TEST(BlockTree, ViewsOverOnePoolMatchStandaloneTrees) {
       for (std::size_t i = order.size() - 1; i > 0; --i)
         std::swap(order[i], order[rng.below(i + 1)]);
 
-    const auto offer = [](BlockTree& tree, OrphanBuffer& orphans, const Block& b) {
-      const BlockTree::AddResult r = tree.try_add(b);
+    const auto offer = [&](BlockTree& tree, OrphanBuffer& orphans, const Block& b,
+                           bool pooled_by_id) {
+      const std::uint32_t id = tree.pool_id(b.hash);
+      const bool pooled_copy = id != BlockTree::kNoId && tree.pool_blocks()[id] == b;
+      if (pooled_by_id && pooled_copy) ++id_adds;
+      const BlockTree::AddResult r =
+          pooled_by_id && pooled_copy ? tree.try_add(id) : tree.try_add(b);
       if (r == BlockTree::AddResult::Added) orphans.flush(tree, nullptr);
       if (r == BlockTree::AddResult::Orphan) orphans.buffer(b);
       return r;
@@ -460,7 +469,8 @@ TEST(BlockTree, ViewsOverOnePoolMatchStandaloneTrees) {
     for (std::size_t step = 0; step < stream.size(); ++step) {
       for (std::size_t v = 0; v < kViews; ++v) {
         const Block& b = orders[v][step];
-        ASSERT_EQ(offer(views[v], view_orphans[v], b), offer(alone[v], alone_orphans[v], b))
+        ASSERT_EQ(offer(views[v], view_orphans[v], b, by_id),
+                  offer(alone[v], alone_orphans[v], b, false))
             << "round " << round << ", view " << v << ", step " << step;
         ASSERT_EQ(view_orphans[v].size(), alone_orphans[v].size());
       }
@@ -473,6 +483,49 @@ TEST(BlockTree, ViewsOverOnePoolMatchStandaloneTrees) {
       ASSERT_EQ(views[v].block_count(), valid.size());
     }
   }
+  // The id path carries the deliveries of a pooled copy: every view but the
+  // first to see a block gets one.
+  if (by_id) EXPECT_GT(id_adds, 500u);
+}
+
+TEST(BlockTree, ViewsOverOnePoolMatchStandaloneTrees) { expect_views_match_standalone_trees(false); }
+
+TEST(BlockTree, ViewsFedByPoolIdMatchStandaloneTrees) { expect_views_match_standalone_trees(true); }
+
+TEST(BlockTree, TryAddByIdAdmitsPooledBlocksWithTwoMembershipTests) {
+  // try_add(id) on a view: Duplicate for a member, Orphan while the parent is
+  // not a member, Added otherwise; holds(), arrival_ids() and arrival_order()
+  // follow, and an id outside the pool throws.
+  BlockTree global;
+  const Block a = make_block(genesis_block().hash, 1, 0, 1);
+  const Block b = make_block(a.hash, 2, 0, 2);
+  const Block c = make_block(genesis_block().hash, 3, 1, 3);
+  for (const Block& x : {a, b, c}) ASSERT_TRUE(global.add(x));
+  const std::uint32_t ia = global.pool_id(a.hash);
+  const std::uint32_t ib = global.pool_id(b.hash);
+  const std::uint32_t ic = global.pool_id(c.hash);
+
+  BlockTree view = global.view();
+  EXPECT_EQ(view.try_add(0u), BlockTree::AddResult::Duplicate);  // genesis
+  EXPECT_EQ(view.try_add(ib), BlockTree::AddResult::Orphan);
+  EXPECT_FALSE(view.holds(ib));
+  EXPECT_EQ(view.try_add(ia), BlockTree::AddResult::Added);
+  EXPECT_EQ(view.try_add(ia), BlockTree::AddResult::Duplicate);
+  EXPECT_EQ(view.try_add(ib), BlockTree::AddResult::Added);
+  EXPECT_EQ(view.try_add(ic), BlockTree::AddResult::Added);
+  EXPECT_TRUE(view.holds(ia) && view.holds(ib) && view.holds(ic));
+  EXPECT_FALSE(view.holds(BlockTree::kNoId));
+
+  const std::vector<std::uint32_t> ids(view.arrival_ids().begin(), view.arrival_ids().end());
+  EXPECT_EQ(ids, (std::vector<std::uint32_t>{0, ia, ib, ic}));
+  EXPECT_EQ(view.arrival_order(),
+            (std::vector<BlockHash>{genesis_block().hash, a.hash, b.hash, c.hash}));
+  EXPECT_EQ(view.best_length(), 2u);
+  EXPECT_EQ(view.best_head(TieBreak::AdversarialOrder), b.hash);
+
+  EXPECT_THROW(static_cast<void>(view.try_add(ic + 1)), std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(view.try_add(BlockTree::kNoId)), std::invalid_argument);
+  EXPECT_EQ(view.block_count(), 4u);
 }
 
 TEST(BlockTree, LiftPropertiesAtPowerOfTwoLengthBoundaries) {

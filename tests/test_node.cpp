@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "chars/bernoulli.hpp"
 
 namespace mh {
@@ -125,13 +127,56 @@ TEST(Node, ReceiveReportsAcceptedBlocksInAcceptanceOrder) {
   HonestNode node(1, TieBreak::ConsistentHash, &schedule);
   const Block parent = make_block(genesis_block().hash, 1, 0, 0);
   const Block child = make_block(parent.hash, 2, 1, 0);
-  std::vector<Block> accepted;
+  std::vector<std::uint32_t> accepted;  // pool ids
   node.receive(child, &accepted);
   EXPECT_TRUE(accepted.empty());  // buffered, not accepted
   node.receive(parent, &accepted);
   ASSERT_EQ(accepted.size(), 2u);  // parent first, then the unblocked orphan
-  EXPECT_EQ(accepted[0].hash, parent.hash);
-  EXPECT_EQ(accepted[1].hash, child.hash);
+  EXPECT_EQ(node.tree().pool_blocks()[accepted[0]], parent);
+  EXPECT_EQ(node.tree().pool_blocks()[accepted[1]], child);
+}
+
+TEST(Node, ReceiveByIdMatchesReceiveByBlockAcrossAnOrphanFlush) {
+  // Two nodes over one pool, one handed pool ids and one handed the pooled
+  // Blocks, in the same order: children before their parents, a duplicate,
+  // and an ineligible block. Both must report the same accepted ids, parents
+  // first, at every step, and end with the same view.
+  const LeaderSchedule schedule = fixed_schedule();
+  BlockTree pool;
+  const Block a = make_block(genesis_block().hash, 1, 0, 1);
+  const Block b = make_block(a.hash, 2, 1, 2);
+  const Block c = make_block(b.hash, 3, kAdversary, 3);
+  const Block sibling = make_block(a.hash, 2, 0, 4);
+  const Block ineligible = make_block(genesis_block().hash, 2, 7, 5);
+  for (const Block& x : {a, b, c, sibling, ineligible}) ASSERT_TRUE(pool.add(x));
+
+  HonestNode by_id(0, TieBreak::AdversarialOrder, &schedule, pool.view());
+  HonestNode by_block(1, TieBreak::AdversarialOrder, &schedule, pool.view());
+  const std::vector<Block> order{c, b, ineligible, sibling, a, b, c};
+  std::vector<std::vector<std::uint32_t>> steps;
+  for (const Block& x : order) {
+    std::vector<std::uint32_t> got_id;
+    std::vector<std::uint32_t> got_block;
+    by_id.receive(pool.pool_id(x.hash), &got_id);
+    by_block.receive(x, &got_block);
+    ASSERT_EQ(got_id, got_block);
+    ASSERT_EQ(by_id.buffered_orphans(), by_block.buffered_orphans());
+    steps.push_back(got_id);
+  }
+  // c, b and sibling wait as orphans (the ineligible block is dropped); a
+  // flushes them parents first: b and sibling on the first pass, c on the
+  // second. The re-deliveries admit nothing.
+  for (std::size_t i = 0; i < 4; ++i) EXPECT_TRUE(steps[i].empty()) << "step " << i;
+  EXPECT_EQ(steps[4], (std::vector<std::uint32_t>{pool.pool_id(a.hash), pool.pool_id(b.hash),
+                                                  pool.pool_id(sibling.hash),
+                                                  pool.pool_id(c.hash)}));
+  EXPECT_TRUE(steps[5].empty());
+  EXPECT_TRUE(steps[6].empty());
+  EXPECT_EQ(by_id.tree().arrival_order(), by_block.tree().arrival_order());
+  EXPECT_EQ(by_id.best_head(), by_block.best_head());
+  EXPECT_EQ(by_id.buffered_orphans(), 0u);
+  EXPECT_FALSE(by_id.knows(ineligible.hash));
+  EXPECT_THROW(by_id.receive(BlockTree::kNoId), std::invalid_argument);  // not a pool id
 }
 
 TEST(Node, ConsistentTieBreakPicksMinHash) {
@@ -165,7 +210,7 @@ TEST(Node, TamperedCopyOfPooledBlockIsNeverAdmitted) {
   holder.receive(good);  // pools the original
   ASSERT_TRUE(holder.tree().contains(good.hash));
 
-  std::vector<Block> accepted;
+  std::vector<std::uint32_t> accepted;
   holder.receive(tampered, &accepted);  // holds the original: a duplicate
   other.receive(tampered, &accepted);   // does not: must not admit it
   EXPECT_TRUE(accepted.empty());

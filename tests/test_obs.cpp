@@ -8,6 +8,7 @@
 //   * a scoped timer records one duration into its histogram;
 //   * the registry rejects a name registered under two different kinds and
 //     deduplicates same-kind re-registration to one instrument;
+//   * every exported mh-bench-v1 document records the process's peak RSS;
 //   * the golden pin: enabling metric recording changes NO result bit — the
 //     pinned transport digests and the settlement-DP series are identical
 //     with recording on and off (in every build; in -DMH_OBS=ON builds this
@@ -18,11 +19,13 @@
 #include <cstdint>
 #include <functional>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "chars/bernoulli.hpp"
 #include "core/exact_dp.hpp"
+#include "obs/export.hpp"
 #include "obs/obs.hpp"
 #include "protocol/transport_probe.hpp"
 
@@ -137,6 +140,18 @@ TEST(ObsRegistry, NameCollisionAcrossKindsThrows) {
   registry.counter("test.obs.collision");
   EXPECT_THROW(registry.gauge("test.obs.collision"), std::logic_error);
   EXPECT_THROW(registry.histogram("test.obs.collision"), std::logic_error);
+}
+
+TEST(ObsExport, DocumentMetaCarriesPeakRss) {
+  const std::string doc = mh::obs::JsonExporter::render(
+      mh::obs::RunMeta::current("test"), mh::obs::Registry::global().snapshot(),
+      mh::obs::Json::object());
+  const std::string key = "\"peak_rss_kb\":";
+  const std::size_t at = doc.find(key);
+  ASSERT_NE(at, std::string::npos) << doc;
+  ASSERT_LT(at, doc.find("\"results\"")) << "peak_rss_kb belongs to the meta block";
+  const long long kb = std::stoll(doc.substr(at + key.size()));
+  EXPECT_GT(kb, 0);
 }
 
 TEST(ObsRegistry, SnapshotMergesRegisteredInstruments) {

@@ -5,6 +5,7 @@
 #include <algorithm>
 
 #include "chars/bernoulli.hpp"
+#include "obs/obs.hpp"
 #include "oracle/characteristic.hpp"
 #include "protocol/adversary.hpp"
 #include "protocol/faults/injector.hpp"
@@ -286,6 +287,96 @@ TEST(Simulation, AllBlocksIsThePoolsCreationOrder) {
                 << "seed " << seed << ", " << strategy_name(strategy) << ", gossip " << gossip
                 << ", faults " << faulted << ", block " << i;
         }
+}
+
+/// Mints a block on genesis at each of its first kMints adversarial slots and
+/// never publishes it, so no node ever holds one. With `tamper`, it also
+/// injects to everyone, visible at the mint's slot, a copy with a flipped
+/// payload: the pooled block's hash field over another header, which the
+/// transport can only name by an alias id.
+class TamperingAdversary : public Adversary {
+ public:
+  static constexpr std::size_t kMints = 4;
+
+  explicit TamperingAdversary(bool tamper) : tamper_(tamper) {}
+
+  void on_slot_begin(std::size_t slot, Simulation& sim) override {
+    if (mints_.size() == kMints || !sim.schedule().eligible(kAdversary, slot)) return;
+    const Block minted = sim.mint_adversarial(genesis_block().hash, slot, 0x7a3e00 + slot);
+    mints_.push_back(minted);
+    if (!tamper_) return;
+    Block copy = minted;
+    copy.payload ^= 1;
+    sim.network().inject_all(copy, slot);
+  }
+
+  [[nodiscard]] const std::vector<Block>& mints() const noexcept { return mints_; }
+
+ private:
+  bool tamper_;
+  std::vector<Block> mints_;
+};
+
+TEST(Simulation, TamperedCopyInjectedToEveryoneIsDroppedByEveryNode) {
+  // The alias branch of delivery: a tampered copy of a pooled block reaches
+  // every node as the Block it is, and every node drops it. The run must be
+  // the run without the injection: same pool column, same public arrival
+  // order, same adopted heads. With the metric hooks compiled in, each node
+  // counts one invalid drop per tampered copy.
+  struct Recording {
+    bool was = obs::enabled();
+    ~Recording() { obs::set_enabled(was); }
+  } recording;
+  obs::set_enabled(true);
+  obs::Counter& dropped = obs::Registry::global().counter("protocol.node.invalid_dropped");
+
+  const SymbolLaw law{0.4, 0.25, 0.35};
+  const std::size_t parties = 8;
+  const std::size_t horizon = 80;
+  net::NetConfig ring;
+  ring.topology = net::TopologyKind::Ring;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed)
+    for (const bool gossip : {false, true}) {
+      struct Outcome {
+        std::vector<Block> blocks;
+        std::vector<BlockHash> public_order;
+        std::vector<BlockHash> heads;
+        std::vector<Block> mints;
+        std::uint64_t dropped = 0;
+      };
+      const auto run = [&](bool tamper) {
+        Rng rng(seed);
+        const LeaderSchedule schedule =
+            LeaderSchedule::from_symbol_law(law, horizon, parties, rng);
+        TamperingAdversary adversary(tamper);
+        const std::uint64_t before = dropped.value();
+        Simulation sim(schedule, SimulationConfig{TieBreak::AdversarialOrder, rng()}, 1,
+                       &adversary, nullptr, gossip ? ring : net::NetConfig{});
+        sim.run();
+        Outcome out;
+        out.dropped = dropped.value() - before;
+        out.blocks.assign(sim.all_blocks().begin(), sim.all_blocks().end());
+        out.public_order = sim.public_tree().arrival_order();
+        for (const HonestNode& node : sim.nodes()) {
+          out.heads.push_back(node.best_head());
+          for (const Block& minted : adversary.mints())
+            EXPECT_FALSE(node.knows(minted.hash)) << "seed " << seed << ", gossip " << gossip;
+        }
+        out.mints = adversary.mints();
+        return out;
+      };
+      const Outcome plain = run(false);
+      const Outcome tampered = run(true);
+      ASSERT_FALSE(tampered.mints.empty()) << "seed " << seed;
+      EXPECT_EQ(tampered.mints, plain.mints);
+      EXPECT_EQ(tampered.blocks, plain.blocks) << "seed " << seed << ", gossip " << gossip;
+      EXPECT_EQ(tampered.public_order, plain.public_order)
+          << "seed " << seed << ", gossip " << gossip;
+      EXPECT_EQ(tampered.heads, plain.heads) << "seed " << seed << ", gossip " << gossip;
+      if (obs::compiled())
+        EXPECT_EQ(tampered.dropped - plain.dropped, tampered.mints.size() * parties)
+            << "seed " << seed << ", gossip " << gossip;
+    }
 }
 
 }  // namespace
