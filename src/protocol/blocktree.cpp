@@ -217,11 +217,7 @@ BlockTree::BlockTree() : BlockTree(kMaxBlocks) {}
 BlockTree::BlockTree(std::size_t max_blocks) : BlockTree(acquire_pool(max_blocks)) {}
 
 BlockTree::BlockTree(std::shared_ptr<Pool> pool)
-    : pool_(std::move(pool)),
-      member_{1},
-      arrival_{0},
-      head_idx_{0},
-      min_hash_head_(genesis_block().hash) {}
+    : pool_(std::move(pool)), min_hash_head_(genesis_block().hash) {}
 
 BlockTree BlockTree::view() const { return BlockTree(pool_); }
 
@@ -265,8 +261,14 @@ BlockTree::AddResult BlockTree::try_add(std::uint32_t id) {
 }
 
 void BlockTree::admit(std::uint32_t id) {
-  if (id >= member_.size()) member_.resize(pool_->blocks.size());
-  member_[id] = 1;
+  if (arrival_.empty()) {  // the first admission: genesis takes its place
+    member_.push_back(1);
+    arrival_.push_back(0);
+    head_idx_.push_back(0);
+  }
+  const std::size_t w = id >> 6;
+  if (w >= member_.size()) member_.resize((pool_->blocks.size() + 63) >> 6, 0);
+  member_[w] |= std::uint64_t{1} << (id & 63);
   // Incremental head-set maintenance: a strictly longer chain resets the tie
   // set; an equal-length one joins it (arrival order is insertion order).
   const std::uint32_t length = pool_->lengths[id];
@@ -286,15 +288,20 @@ void BlockTree::admit(std::uint32_t id) {
 bool BlockTree::contains(BlockHash hash) const { return member(pool_->find(hash)); }
 
 std::vector<BlockHash> BlockTree::arrival_order() const {
+  const std::span<const std::uint32_t> ids = arrival_ids();
   std::vector<BlockHash> out;
-  out.reserve(arrival_.size());
-  for (const std::uint32_t id : arrival_) out.push_back(pool_->blocks[id].hash);
+  out.reserve(ids.size());
+  for (const std::uint32_t id : ids) out.push_back(pool_->blocks[id].hash);
   return out;
 }
 
 std::uint32_t BlockTree::pool_id(BlockHash hash) const noexcept { return pool_->find(hash); }
 
 std::span<const Block> BlockTree::pool_blocks() const noexcept { return pool_->blocks; }
+
+std::span<const std::uint32_t> BlockTree::pool_parents() const noexcept {
+  return pool_->parents;
+}
 
 std::uint32_t BlockTree::enter_pool(const Block& block) {
   Pool& pool = *pool_;
@@ -315,11 +322,12 @@ BlockHash BlockTree::best_head(TieBreak rule) const {
   // AdversarialOrder intentionally means FIRST arrival among the tied
   // maximum-length heads: the adversary, ordering deliveries per recipient,
   // decides which tied head arrives first.
-  return rule == TieBreak::AdversarialOrder ? pool_->blocks[head_idx_.front()].hash
-                                            : min_hash_head_;
+  if (rule == TieBreak::ConsistentHash) return min_hash_head_;
+  return pool_->blocks[head_idx_.empty() ? 0 : head_idx_.front()].hash;
 }
 
 std::vector<BlockHash> BlockTree::max_length_heads() const {
+  if (head_idx_.empty()) return {genesis_block().hash};
   std::vector<BlockHash> out;
   out.reserve(head_idx_.size());
   for (const std::uint32_t id : head_idx_) out.push_back(pool_->blocks[id].hash);
@@ -392,8 +400,8 @@ void OrphanBuffer::flush(BlockTree& tree, std::vector<std::uint32_t>* accepted) 
   bool progress = true;
   while (progress && !orphans_.empty()) {
     progress = false;
-    std::vector<Block> still;
-    still.reserve(orphans_.size());
+    // Compacted in place: the blocks still orphaned keep their retry order.
+    std::size_t kept = 0;
     for (const Block& b : orphans_) {
       switch (tree.try_add(b)) {
         case BlockTree::AddResult::Added:
@@ -404,7 +412,7 @@ void OrphanBuffer::flush(BlockTree& tree, std::vector<std::uint32_t>* accepted) 
           MH_OBS_COUNT("protocol.node.orphans_flushed", 1);
           break;
         case BlockTree::AddResult::Orphan:
-          still.push_back(b);
+          orphans_[kept++] = b;
           break;
         case BlockTree::AddResult::Duplicate:
         case BlockTree::AddResult::Invalid:
@@ -415,7 +423,7 @@ void OrphanBuffer::flush(BlockTree& tree, std::vector<std::uint32_t>* accepted) 
           break;
       }
     }
-    orphans_.swap(still);
+    orphans_.resize(kept);
   }
 }
 

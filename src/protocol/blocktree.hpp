@@ -13,11 +13,17 @@
 // 32-bit pool id; the binary-lifting ancestor tables in ONE flat CSR array
 // indexed by (id, level) — up(i, j) = the 2^j-th ancestor of id i, up(i, 0)
 // the parent; and the hash -> id map, a flat open-addressing table (keys are
-// already FNV digests). A BlockTree is a VIEW over a pool: a membership flag
-// per pool id, its own arrival order as a list of 4-byte pool ids, its own
-// maximum-length head set (arrival order) and min-hash head. This is the
-// paper's picture: the fork is a single tree and each honest party's view is
-// a subset of it.
+// already FNV digests). A BlockTree is a VIEW over a pool: a membership bit
+// per pool id (64 ids to a word), its own arrival order as a list of 4-byte
+// pool ids, its own maximum-length head set (arrival order) and min-hash
+// head. This is the paper's picture: the fork is a single tree and each
+// honest party's view is a subset of it.
+//
+// A genesis-only view allocates nothing: its membership words, arrival list
+// and head set stay empty until its first admission, which materializes them
+// with genesis (id 0) in place, and every query answers for genesis alone
+// meanwhile. A committee of 10^5 parties that each hold a view therefore
+// pays for a view only once it admits a block.
 //
 // A standalone BlockTree() owns a private pool; view() makes another,
 // genesis-only tree over the same pool. A simulation builds every node view
@@ -39,10 +45,11 @@
 // copy to its id and delegates to it. Only a block new to the pool takes a
 // path of its own, and it is pooled only when this view admits it.
 //
-// Three pool-level accessors serve the transport, which names blocks by pool
+// Four pool-level accessors serve the transport, which names blocks by pool
 // id and stores none itself: pool_id (hash -> id, whichever view admitted the
-// block), pool_blocks (the Block column, in pooling order) and enter_pool
-// (pool a block under the same checks, admitting it to no view).
+// block), pool_blocks (the Block column, in pooling order), pool_parents (the
+// parent-id column its ancestry walks follow) and enter_pool (pool a block
+// under the same checks, admitting it to no view).
 //
 // The lift tables are materialized LAZILY: an insertion appends only the
 // fixed-stride columns; the first lifted query after a batch of insertions
@@ -133,7 +140,9 @@ class BlockTree {
   [[nodiscard]] const Block& block(BlockHash hash) const;
   /// Chain length from genesis (genesis has length 0).
   [[nodiscard]] std::size_t length(BlockHash hash) const;
-  [[nodiscard]] std::size_t block_count() const noexcept { return arrival_.size(); }
+  [[nodiscard]] std::size_t block_count() const noexcept {
+    return arrival_.empty() ? 1 : arrival_.size();
+  }
 
   /// Longest-chain selection per the tie-break rule, O(1): under
   /// AdversarialOrder the first-arrived maximum-length block wins; under
@@ -164,7 +173,9 @@ class BlockTree {
   /// read through the pool column. O(n).
   [[nodiscard]] std::vector<BlockHash> arrival_order() const;
   /// This view's pool ids in arrival order (genesis, id 0, first).
-  [[nodiscard]] std::span<const std::uint32_t> arrival_ids() const noexcept { return arrival_; }
+  [[nodiscard]] std::span<const std::uint32_t> arrival_ids() const noexcept {
+    return arrival_.empty() ? std::span<const std::uint32_t>(kGenesisIds) : arrival_;
+  }
 
   // --- pool level: every block of the pool, whichever view admitted it ----
 
@@ -175,6 +186,9 @@ class BlockTree {
   /// The pool's Block column, indexed by pool id: pooling order, genesis at
   /// id 0, parents before children. Pooling a block invalidates the span.
   [[nodiscard]] std::span<const Block> pool_blocks() const noexcept;
+  /// The pool's parent-id column, indexed like pool_blocks: the pool id of
+  /// each block's parent (genesis: 0). Pooling a block invalidates the span.
+  [[nodiscard]] std::span<const std::uint32_t> pool_parents() const noexcept;
   /// Pool `block` without admitting it to any view, and return its id: the
   /// pooled copy's if the pool holds an equal block, a new id if its header
   /// is intact, its parent pooled and its slot above the parent's, else
@@ -201,20 +215,27 @@ class BlockTree {
  private:
   explicit BlockTree(std::shared_ptr<Pool> pool);
 
+  /// A genesis-only view's arrival order.
+  static constexpr std::uint32_t kGenesisIds[1] = {0};
+
   [[nodiscard]] bool member(std::uint32_t id) const noexcept {
-    return id < member_.size() && member_[id] != 0;
+    const std::size_t w = id >> 6;
+    // Past the words (none yet: genesis only), genesis is the one member.
+    return w < member_.size() ? ((member_[w] >> (id & 63)) & 1) != 0 : id == 0;
   }
   /// Pool id of a member of this view; throws on any other hash.
   [[nodiscard]] std::uint32_t index_of(BlockHash hash) const;
   /// Make pooled id `id` (whose parent is a member) a member of this view.
   void admit(std::uint32_t id);
 
+  // The three vectors stay empty while the view holds genesis alone; admit()
+  // materializes them, with genesis in place, at the first admission.
   std::shared_ptr<Pool> pool_;
-  std::vector<std::uint8_t> member_;    ///< membership flag per pool id
-  std::vector<std::uint32_t> arrival_;  ///< member pool ids, arrival order
+  std::vector<std::uint64_t> member_;    ///< membership bit per pool id
+  std::vector<std::uint32_t> arrival_;   ///< member pool ids, arrival order
   std::vector<std::uint32_t> head_idx_;  ///< max-length member ids, arrival order
   std::size_t best_length_ = 0;
-  BlockHash min_hash_head_ = 0;  ///< min hash among head_idx_
+  BlockHash min_hash_head_ = 0;  ///< min hash among the heads
 };
 
 /// The parent-unknown buffer shared by honest nodes and the simulation's

@@ -18,7 +18,7 @@ Network::Network(std::size_t parties, std::size_t delta, net::NetConfig config)
       topology_(net::Topology::build(config.topology, parties, config.k, config.seed)),
       link_seeds_(config.seed),
       events_(parties),
-      queues_(parties) {
+      watermarks_(parties) {
   MH_REQUIRE_MSG(parties >= 1, "a network needs at least one party, got " +
                                    std::to_string(parties));
   config_.validate(parties);
@@ -28,50 +28,61 @@ Network::Network(std::size_t parties, std::size_t delta, net::NetConfig config)
   }
 }
 
-void Network::record(std::unordered_map<BlockHash, std::size_t>& sent, BlockHash hash,
-                     std::size_t due) {
-  const auto [it, inserted] = sent.try_emplace(hash, due);
-  if (!inserted) it->second = std::min(it->second, due);
+namespace {
+
+/// A due as the watermarks store it; kNever (2^32 - 1) is not a due.
+std::uint32_t stored_due(std::size_t due) {
+  MH_REQUIRE_MSG(due < 0xffffffffu,
+                 "watermark due slot " + std::to_string(due) + " exceeds 32 bits");
+  return static_cast<std::uint32_t>(due);
 }
 
-bool Network::covered(PartyId recipient, BlockHash hash, std::size_t due) const {
-  if (covered_all(hash, due)) return true;
-  const auto& sent = queues_[recipient].sent;
-  const auto it = sent.find(hash);
-  return it != sent.end() && it->second <= due;
+}  // namespace
+
+bool Network::covered(PartyId recipient, BlockId id, std::size_t due) const {
+  if (covered_all(id, due)) return true;
+  const RecipientWatermarks* marks = watermarks_[recipient].get();
+  if (marks == nullptr) return false;
+  const auto it = marks->sent.find(id);
+  return it != marks->sent.end() && it->second <= due;
 }
 
-bool Network::covered_all(BlockHash hash, std::size_t due) const {
-  if (hash == genesis_block().hash) return true;
-  const auto all = sent_all_.find(hash);
-  return all != sent_all_.end() && all->second <= due;
+void Network::record_all(BlockId id, std::size_t due) {
+  const Due d = stored_due(due);
+  if (due_all_.size() <= id) due_all_.resize(pool_size(), kNever);
+  Due& entry = due_all_[id];
+  if (entry == kNever) ++due_all_live_;
+  entry = std::min(entry, d);
 }
 
-void Network::record_recipient(PartyId recipient, BlockHash hash, std::size_t due) {
-  RecipientQueue& queue = queues_[recipient];
-  const auto [it, inserted] = queue.sent.try_emplace(hash, due);
+void Network::record_recipient(PartyId recipient, BlockId id, std::size_t due) {
+  const Due d = stored_due(due);
+  std::unique_ptr<RecipientWatermarks>& marks = watermarks_[recipient];
+  if (marks == nullptr) marks = std::make_unique<RecipientWatermarks>();
+  const auto [it, inserted] = marks->sent.try_emplace(id, d);
   if (!inserted) {
-    if (due >= it->second) return;  // no tightening: nothing new to expire
-    it->second = due;
+    if (d >= it->second) return;  // no tightening: nothing new to expire
+    it->second = d;
   }
-  queue.sent_log.emplace_back(hash, due);
+  marks->sent_log.emplace_back(id, d);
 }
 
 void Network::expire_watermarks(PartyId recipient, std::size_t slot) {
-  // A per-recipient entry only beats sent_all_ for dues below the round's
+  // A per-recipient entry only beats due_all_ for dues below the round's
   // maximum, and every query after `slot` uses a due past it; delta + 1 slots
   // after an entry's due it can no longer answer differently than a fresh
   // re-ship would, so dropping it is safe (worst case: a duplicate re-ship at
   // a position the seed transport always shipped).
-  RecipientQueue& queue = queues_[recipient];
-  auto& log = queue.sent_log;
+  RecipientWatermarks* marks = watermarks_[recipient].get();
+  if (marks == nullptr) return;
+  auto& log = marks->sent_log;
   if (log.empty()) return;
-  std::size_t head = queue.log_head;
+  std::size_t head = marks->log_head;
   for (; head < log.size() && log[head].second + delta_ + 1 <= slot; ++head) {
-    const auto [hash, due] = log[head];
-    const auto it = queue.sent.find(hash);
-    if (it != queue.sent.end() && it->second == due) {
-      queue.sent.erase(it);
+    const auto [id, due] = log[head];
+    const auto it = marks->sent.find(id);
+    if (it != marks->sent.end() && it->second == due) {
+      marks->sent.erase(it);
       MH_OBS_COUNT("protocol.net.watermarks_expired", 1);
     }
   }
@@ -83,11 +94,11 @@ void Network::expire_watermarks(PartyId recipient, std::size_t slot) {
     log.erase(log.begin(), log.begin() + static_cast<std::ptrdiff_t>(head));
     head = 0;
   }
-  queue.log_head = head;
+  marks->log_head = head;
 }
 
 // A send during an active fault window may lose or skew individual links, so
-// it must never advance sent_all_ (the all-recipient bound would overclaim
+// it must never advance due_all_ (the all-recipient bound would overclaim
 // coverage for a recipient whose ship was dropped); per-recipient watermarks
 // record exactly what was actually scheduled.
 bool Network::fault_window(std::size_t slot) const noexcept {
@@ -161,10 +172,10 @@ Network::BlockId Network::resolve_chain(const BlockTree& tree, const Block& bloc
   BlockTree& store = this->store();
   if (store.pool_id(block.parent) == kNoId) {
     // Only a private store can lack the ancestry; it pools parents first.
-    lift_scratch_.clear();
+    hash_scratch_.clear();
     for (BlockHash h = block.parent; store.pool_id(h) == kNoId; h = tree.block(h).parent)
-      lift_scratch_.push_back(h);
-    for (std::size_t i = lift_scratch_.size(); i-- > 0;) resolve(tree.block(lift_scratch_[i]));
+      hash_scratch_.push_back(h);
+    for (std::size_t i = hash_scratch_.size(); i-- > 0;) resolve(tree.block(hash_scratch_[i]));
   }
   return resolve(block);
 }
@@ -219,7 +230,7 @@ bool Network::relays_nothing(PartyId victim, BlockId id, std::size_t visible_slo
 bool Network::settled(BlockHash hash, std::size_t visible_slot) const {
   const BlockId id = store_->pool_id(hash);
   return id < settled_.size() && settled_[id] == epoch_ &&
-         (hetero_ || covered_all(hash, visible_slot));
+         (hetero_ || covered_all(id, visible_slot));
 }
 
 bool Network::settle(BlockHash hash) {
@@ -281,8 +292,7 @@ std::size_t Network::checked_delay(const std::vector<std::size_t>& delays, Party
   return delay;
 }
 
-void Network::hetero_broadcast_chain(const BlockTree& tree, const Block& block, BlockId id,
-                                     std::size_t sent_slot,
+void Network::hetero_broadcast_chain(const Block& block, BlockId id, std::size_t sent_slot,
                                      const std::vector<std::size_t>& per_recipient_delay) {
   const PartyId sender = block.issuer;
   MH_REQUIRE_MSG(sender < parties_,
@@ -292,6 +302,8 @@ void Network::hetero_broadcast_chain(const BlockTree& tree, const Block& block, 
   // a neighbor's later relay back to it deduplicates.
   cover(sender, id);
   const bool faulted = fault_window(sent_slot);
+  const BlockId parent = store_->pool_id(block.parent);
+  const std::span<const std::uint32_t> parents = store_->pool_parents();
   MH_OBS_ONLY(std::size_t shipped = 0;)
   topology_.for_each_neighbor(sender, [&](PartyId r) {
     const std::size_t delay = checked_delay(per_recipient_delay, r, sent_slot);
@@ -301,14 +313,12 @@ void Network::hetero_broadcast_chain(const BlockTree& tree, const Block& block, 
     if (faulted && !faulted_link(sender, r, sent_slot, &link)) return;
     const Coverage& coverage = coverage_[r];
     lift_scratch_.clear();
-    BlockHash h = block.parent;
-    for (; h != genesis_block().hash && !coverage.test(store_->pool_id(h));
-         h = tree.block(h).parent)
-      lift_scratch_.push_back(h);
+    for (BlockId a = parent; a != 0 && !coverage.test(a); a = parents[a])
+      lift_scratch_.push_back(a);
     MH_OBS_HIST("protocol.net.chain_sync_depth", lift_scratch_.size());
     MH_OBS_ONLY(shipped += lift_scratch_.size() + 1;)
     for (std::size_t i = lift_scratch_.size(); i-- > 0;)
-      hetero_send(sender, r, resolve(tree.block(lift_scratch_[i])), sent_slot, delay,
+      hetero_send(sender, r, lift_scratch_[i], sent_slot, delay,
                   faulted ? link.extra_delay : 0, false);
     hetero_send(sender, r, id, sent_slot, delay, faulted ? link.extra_delay : 0,
                 faulted && link.duplicate);
@@ -374,12 +384,14 @@ void Network::broadcast(const Block& block, std::size_t sent_slot,
   }
   MH_OBS_COUNT("protocol.net.blocks_shipped", parties_);
   const bool faulted = fault_window(sent_slot);
+  const BlockId key = pooled(id);
+  const BlockId parent = store_->pool_id(block.parent);
   if (per_recipient_delay.empty() && !faulted) {
     const std::size_t due = sent_slot + 1;
     for (PartyId r = 0; r < parties_; ++r) push(r, id, due);
     // The block carries no ancestry here; it is chain-complete for all
     // recipients only if its parent already is by the same due.
-    if (covered_all(block.parent, due)) record(sent_all_, block.hash, due);
+    if (covered_all(parent, due)) record_all(key, due);
     return;
   }
   std::size_t due_max = sent_slot + 1;
@@ -394,9 +406,9 @@ void Network::broadcast(const Block& block, std::size_t sent_slot,
     due_max = std::max(due_max, due);
     push(r, id, due);
     if (faulted && link.duplicate) push(r, id, due);
-    if (covered(r, block.parent, due)) record_recipient(r, block.hash, due);
+    if (covered(r, parent, due)) record_recipient(r, key, due);
   }
-  if (!faulted && covered_all(block.parent, due_max)) record(sent_all_, block.hash, due_max);
+  if (!faulted && covered_all(parent, due_max)) record_all(key, due_max);
 }
 
 void Network::broadcast_chain(const BlockTree& tree, const Block& block, std::size_t sent_slot,
@@ -404,13 +416,17 @@ void Network::broadcast_chain(const BlockTree& tree, const Block& block, std::si
   require_broadcast(block, sent_slot, per_recipient_delay);
   const BlockId id = resolve_chain(tree, block);
   if (hetero_) {
-    hetero_broadcast_chain(tree, block, id, sent_slot, per_recipient_delay);
+    hetero_broadcast_chain(block, id, sent_slot, per_recipient_delay);
     return;
   }
   const bool faulted = fault_window(sent_slot);
+  // resolve_chain pooled the whole ancestry: walks follow the parent ids.
+  const BlockId key = pooled(id);
+  const BlockId parent = store_->pool_id(block.parent);
+  const std::span<const std::uint32_t> parents = store_->pool_parents();
   // An all-equal delay vector (adversaries often return all-zeros) is a
   // uniform broadcast: handle it on the fast path so the per-recipient
-  // watermark maps stay empty — sent_all_ alone carries the coverage. Inside
+  // watermark maps stay unmade — due_all_ alone carries the coverage. Inside
   // a fault window the round is never uniform: individual links may drop.
   const bool uniform =
       !faulted &&
@@ -422,19 +438,18 @@ void Network::broadcast_chain(const BlockTree& tree, const Block& block, std::si
     // One watermark walk covers every recipient.
     const std::size_t due = sent_slot + 1 + delay;
     lift_scratch_.clear();
-    BlockHash h = block.parent;
-    for (; !covered_all(h, due); h = tree.block(h).parent) lift_scratch_.push_back(h);
+    BlockId a = parent;
+    for (; !covered_all(a, due); a = parents[a]) lift_scratch_.push_back(a);
     MH_OBS_HIST("protocol.net.chain_sync_depth", lift_scratch_.size());
     MH_OBS_COUNT("protocol.net.blocks_shipped", (lift_scratch_.size() + 1) * parties_);
     // The walk stopping short of genesis means a watermark answered it.
-    if (h != genesis_block().hash) MH_OBS_COUNT("protocol.net.watermark_hits", 1);
+    if (a != 0) MH_OBS_COUNT("protocol.net.watermark_hits", 1);
     for (std::size_t i = lift_scratch_.size(); i-- > 0;) {
-      const BlockId ancestor = resolve(tree.block(lift_scratch_[i]));
-      for (PartyId r = 0; r < parties_; ++r) push(r, ancestor, due);
-      record(sent_all_, lift_scratch_[i], due);
+      for (PartyId r = 0; r < parties_; ++r) push(r, lift_scratch_[i], due);
+      record_all(lift_scratch_[i], due);
     }
     for (PartyId r = 0; r < parties_; ++r) push(r, id, due);
-    record(sent_all_, block.hash, due);
+    record_all(key, due);
     return;
   }
 
@@ -452,19 +467,18 @@ void Network::broadcast_chain(const BlockTree& tree, const Block& block, std::si
     }
     due_max = std::max(due_max, due);
     lift_scratch_.clear();
-    BlockHash h = block.parent;
-    for (; h != genesis_block().hash && !covered(r, h, due); h = tree.block(h).parent)
-      lift_scratch_.push_back(h);
+    BlockId a = parent;
+    for (; a != 0 && !covered(r, a, due); a = parents[a]) lift_scratch_.push_back(a);
     MH_OBS_HIST("protocol.net.chain_sync_depth", lift_scratch_.size());
     MH_OBS_ONLY(shipped += lift_scratch_.size() + 1;)
-    if (h != genesis_block().hash) MH_OBS_COUNT("protocol.net.watermark_hits", 1);
+    if (a != 0) MH_OBS_COUNT("protocol.net.watermark_hits", 1);
     for (std::size_t i = lift_scratch_.size(); i-- > 0;) {
-      push(r, resolve(tree.block(lift_scratch_[i])), due);
+      push(r, lift_scratch_[i], due);
       record_recipient(r, lift_scratch_[i], due);
     }
     push(r, id, due);
     if (faulted && link.duplicate) push(r, id, due);
-    record_recipient(r, block.hash, due);
+    record_recipient(r, key, due);
   }
   MH_OBS_COUNT("protocol.net.blocks_shipped", shipped);
   // After the round every recipient holds the block with full ancestry by the
@@ -472,9 +486,8 @@ void Network::broadcast_chain(const BlockTree& tree, const Block& block, std::si
   // it instead of consulting per-recipient state). Not during a fault window:
   // dropped links mean the round did NOT cover every recipient.
   if (faulted) return;
-  for (BlockHash h = block.parent; !covered_all(h, due_max); h = tree.block(h).parent)
-    record(sent_all_, h, due_max);
-  record(sent_all_, block.hash, due_max);
+  for (BlockId a = parent; !covered_all(a, due_max); a = parents[a]) record_all(a, due_max);
+  record_all(key, due_max);
 }
 
 void Network::inject(const Block& block, PartyId recipient, std::size_t visible_slot) {
@@ -506,8 +519,8 @@ void Network::inject(const Block& block, PartyId recipient, std::size_t visible_
   }
   // Watermarks must stay chain-complete: a partial disclosure (parent not
   // covered) is NOT recorded, so later honest broadcasts re-ship the prefix.
-  if (covered(recipient, block.parent, visible_slot))
-    record_recipient(recipient, block.hash, visible_slot);
+  if (covered(recipient, store_->pool_id(block.parent), visible_slot))
+    record_recipient(recipient, pooled(id), visible_slot);
 }
 
 void Network::inject_all(const Block& block, std::size_t visible_slot) {
@@ -554,9 +567,11 @@ void Network::inject_all(const Block& block, std::size_t visible_slot) {
   // When the parent is covered for everyone, the all-recipient record alone
   // carries the coverage — per-recipient entries would be strictly redundant.
   // A fault window disables it: a down recipient's ship is dropped.
-  const bool all_covered = !faulted && covered_all(block.parent, visible_slot);
+  const BlockId key = pooled(id);
+  const BlockId parent = store_->pool_id(block.parent);
+  const bool all_covered = !faulted && covered_all(parent, visible_slot);
   if (elide && all_covered) {  // no recipient needs a visit
-    record(sent_all_, block.hash, visible_slot);
+    record_all(key, visible_slot);
     return;
   }
   for (PartyId r = 0; r < parties_; ++r) {
@@ -566,10 +581,9 @@ void Network::inject_all(const Block& block, std::size_t visible_slot) {
       continue;
     }
     if (!elide) push(r, id, visible_slot);
-    if (!all_covered && covered(r, block.parent, visible_slot))
-      record_recipient(r, block.hash, visible_slot);
+    if (!all_covered && covered(r, parent, visible_slot)) record_recipient(r, key, visible_slot);
   }
-  if (all_covered) record(sent_all_, block.hash, visible_slot);
+  if (all_covered) record_all(key, visible_slot);
 }
 
 void Network::publish_chain(const BlockTree& tree, BlockHash tip, std::size_t visible_slot,
@@ -586,17 +600,17 @@ void Network::publish_chain(const BlockTree& tree, BlockHash tip, std::size_t vi
     may_stop = may_stop && !fault_window(visible_slot);
   else
     may_stop = may_stop && (faults_ == nullptr || faults_->plan().churn.empty());
-  lift_scratch_.clear();
+  hash_scratch_.clear();
   BlockHash h = tip;
   for (; h != genesis_block().hash; h = tree.block(h).parent) {
     if (may_stop && settled(h, visible_slot)) break;
-    lift_scratch_.push_back(h);
+    hash_scratch_.push_back(h);
   }
   // Every block from genesis to the stop is a call that adds no lane entry.
   MH_OBS_COUNT("protocol.net.republish_elided", tree.length(h) * (everyone ? parties_ : 1));
   // Ancestors first: each call pools its block after its parent.
-  for (std::size_t i = lift_scratch_.size(); i-- > 0;) {
-    const Block& block = tree.block(lift_scratch_[i]);
+  for (std::size_t i = hash_scratch_.size(); i-- > 0;) {
+    const Block& block = tree.block(hash_scratch_[i]);
     if (everyone)
       inject_all(block, visible_slot);
     else
@@ -606,20 +620,21 @@ void Network::publish_chain(const BlockTree& tree, BlockHash tip, std::size_t vi
   // The post-call pass, ancestors first: the deepest walked block's parent is
   // the stop (settled) or genesis, and a block whose parent is not settled
   // cannot be either.
-  for (std::size_t i = lift_scratch_.size(); i-- > 0;)
-    if (!settle(lift_scratch_[i])) break;
+  for (std::size_t i = hash_scratch_.size(); i-- > 0;)
+    if (!settle(hash_scratch_[i])) break;
 }
 
 void Network::crash_recipient(PartyId recipient) {
   MH_REQUIRE_MSG(recipient < parties_,
                  "crash for unknown party " + std::to_string(recipient) +
                      " (network has " + std::to_string(parties_) + " parties)");
-  RecipientQueue& queue = queues_[recipient];
+  std::unique_ptr<RecipientWatermarks>& marks = watermarks_[recipient];
   // Volatile endpoint state is lost: queued deliveries and the coverage that
   // claimed they were scheduled. The all-recipient bound covers this
   // recipient's wiped in-flight messages too, so it must be invalidated —
-  // conservatively for everyone, which only costs re-ships.
-  std::size_t invalidated = queue.sent.size() + sent_all_.size();
+  // conservatively for everyone, which only costs re-ships. Each live
+  // watermark entry counts once.
+  std::size_t invalidated = (marks ? marks->sent.size() : 0) + due_all_live_;
   if (hetero_) {
     // One coverage entry per distinct hash scheduled for this recipient.
     const std::vector<std::uint64_t>& words = coverage_[recipient].words;
@@ -632,10 +647,9 @@ void Network::crash_recipient(PartyId recipient) {
   if (faults_ != nullptr) faults_->stats().watermarks_invalidated += invalidated;
   MH_OBS_COUNT("protocol.faults.watermarks_invalidated", invalidated);
   events_.wipe(recipient);
-  queue.sent.clear();
-  queue.sent_log.clear();
-  queue.log_head = 0;
-  sent_all_.clear();
+  marks.reset();
+  due_all_.clear();
+  due_all_live_ = 0;
 }
 
 void Network::resync_ship(const Block& block, PartyId recipient, std::size_t slot) {
@@ -647,7 +661,7 @@ void Network::resync_ship(const Block& block, PartyId recipient, std::size_t slo
   if (hetero_)
     cover(recipient, id);
   else
-    record_recipient(recipient, block.hash, slot);
+    record_recipient(recipient, pooled(id), slot);
   if (faults_ != nullptr) ++faults_->stats().resync_blocks;
   MH_OBS_COUNT("protocol.faults.resync_blocks", 1);
 }

@@ -44,8 +44,11 @@
 // Chain-sync: honest participants broadcast *chains* (the model's messages
 // are blockchains). The degenerate path ships, per recipient, only the
 // ancestors not already scheduled by the block's due slot, tracked by
-// delivered watermarks (per-recipient + an all-recipient bound; entries
-// expire delta + 1 slots past their due). The heterogeneous path tracks a
+// delivered watermarks keyed by pool id: an all-recipient due column, one
+// 4-byte entry per pool id, and per-recipient maps whose entries expire
+// delta + 1 slots past their due. A recipient's map is made at its first
+// per-recipient record, so a run of uniform broadcasts builds none. Ancestry
+// walks follow the pool's parent-id column. The heterogeneous path tracks a
 // binary per-recipient coverage bitset instead — latency draws can reorder
 // arrivals, so a due-bounded watermark would overclaim; out-of-order
 // arrivals park in the node's orphan buffer until ancestry lands.
@@ -105,8 +108,8 @@
 //     stamps the marks, so a crash invalidates every mark;
 //   * lockstep: a is chain-held — held by every view, its parent chain-held;
 //     views only grow, so this never expires — and covered_all(a, v).
-//     sent_all_ is ancestry-monotone: every record site requires the parent
-//     covered_all at the same due, and a crash clears the whole map, so
+//     due_all_ is ancestry-monotone: every record site requires the parent
+//     covered_all at the same due, and a crash clears the whole column, so
 //     every ancestor is covered_all at v too. To everyone, with no fault
 //     window at v, each ancestor's inject_all takes the all-covered path and
 //     its record changes nothing. To one victim, the plan must never crash
@@ -118,6 +121,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <unordered_map>
@@ -246,19 +250,24 @@ class Network {
   using BlockId = net::BlockId;
   static constexpr BlockId kNoId = BlockTree::kNoId;
 
-  struct RecipientQueue {
-    /// Chain-complete watermark (degenerate mode): sent[h] = d means this
-    /// recipient has been scheduled to receive h AND its whole ancestry by
-    /// due slot <= d. Only populated when coverage differs from the
-    /// all-recipient bound, and entries expire delta + 1 slots past their
-    /// due (see sent_log): dropping a watermark is always safe — it only
-    /// makes a later broadcast_chain re-ship a duplicate the seed transport
-    /// shipped anyway.
-    std::unordered_map<BlockHash, std::size_t> sent;
-    /// FIFO of (hash, due) insertions backing the expiry sweep in collect;
-    /// entries below log_head are expired. (A vector, not a deque: a
-    /// default-constructed deque allocates, and there is one queue per party.)
-    std::vector<std::pair<BlockHash, std::size_t>> sent_log;
+  /// A due slot as the watermarks store it; kNever marks no entry.
+  using Due = std::uint32_t;
+  static constexpr Due kNever = 0xffffffffu;
+
+  /// One recipient's watermarks (degenerate mode), made at its first
+  /// per-recipient record and dropped by its crash.
+  struct RecipientWatermarks {
+    /// Chain-complete watermark: sent[id] = d means this recipient has been
+    /// scheduled to receive pool id `id` (an alias counts as its hash's pool
+    /// id) AND its whole ancestry by due slot <= d. Only populated when
+    /// coverage differs from the all-recipient bound, and entries expire
+    /// delta + 1 slots past their due (see sent_log): dropping a watermark is
+    /// always safe — it only makes a later broadcast_chain re-ship a
+    /// duplicate the seed transport shipped anyway.
+    std::unordered_map<BlockId, Due> sent;
+    /// FIFO of (id, due) insertions backing the expiry sweep in collect;
+    /// entries below log_head are expired.
+    std::vector<std::pair<BlockId, Due>> sent_log;
     std::size_t log_head = 0;
   };
 
@@ -297,16 +306,21 @@ class Network {
   /// checked against Delta.
   [[nodiscard]] std::size_t checked_delay(const std::vector<std::size_t>& delays, PartyId r,
                                           std::size_t sent_slot) const;
-  /// Is `hash` (with full ancestry) scheduled for `recipient` by `due`?
-  [[nodiscard]] bool covered(PartyId recipient, BlockHash hash, std::size_t due) const;
-  /// Is `hash` (with full ancestry) scheduled for EVERY recipient by `due`?
-  /// Genesis is always covered, so ancestry walks terminate on it.
-  [[nodiscard]] bool covered_all(BlockHash hash, std::size_t due) const;
-  /// Record a chain-complete ship, keeping the tightest (smallest) due.
-  static void record(std::unordered_map<BlockHash, std::size_t>& sent, BlockHash hash,
-                     std::size_t due);
-  /// `record` into a recipient's map, logging the insertion for expiry.
-  void record_recipient(PartyId recipient, BlockHash hash, std::size_t due);
+  /// Is pool id `id` (with full ancestry) scheduled for `recipient` by `due`?
+  [[nodiscard]] bool covered(PartyId recipient, BlockId id, std::size_t due) const;
+  /// Is pool id `id` (with full ancestry) scheduled for EVERY recipient by
+  /// `due`? Genesis (id 0) is always covered, so ancestry walks end on it.
+  [[nodiscard]] bool covered_all(BlockId id, std::size_t due) const noexcept {
+    if (id == 0) return true;
+    if (id >= due_all_.size()) return false;
+    const Due entry = due_all_[id];
+    return entry != kNever && entry <= due;
+  }
+  /// Record a chain-complete ship of pool id `id` to everyone, keeping the
+  /// tightest (smallest) due.
+  void record_all(BlockId id, std::size_t due);
+  /// Record it for one recipient, logging the insertion for expiry.
+  void record_recipient(PartyId recipient, BlockId id, std::size_t due);
   /// Drop per-recipient watermarks whose due lies delta + 1 slots behind.
   void expire_watermarks(PartyId recipient, std::size_t slot);
   /// The block store, made private on first use when unbound.
@@ -395,8 +409,7 @@ class Network {
   /// fault verdict's extra delay; marks the recipient's coverage.
   void hetero_send(PartyId sender, PartyId recipient, BlockId id, std::size_t slot,
                    std::size_t adversary_delay, std::size_t fault_extra, bool duplicate);
-  void hetero_broadcast_chain(const BlockTree& tree, const Block& block, BlockId id,
-                              std::size_t sent_slot,
+  void hetero_broadcast_chain(const Block& block, BlockId id, std::size_t sent_slot,
                               const std::vector<std::size_t>& per_recipient_delay);
   /// Gossip forwarding of a delivery (issuer-blind: adversarial blocks relay
   /// too — delivering MORE is always within the model). `faulted` is
@@ -415,7 +428,9 @@ class Network {
   std::optional<BlockTree> store_;
   std::vector<Alias> aliases_;               ///< tampered copies (rare), by alias id
   net::EventCore events_;                    ///< the per-recipient delivery lanes
-  std::vector<RecipientQueue> queues_;       // per-recipient watermark state
+  /// Per party: its watermarks, or null before its first per-recipient
+  /// record (a uniform-broadcast run never makes one).
+  std::vector<std::unique_ptr<RecipientWatermarks>> watermarks_;
   std::vector<Coverage> coverage_;           ///< per-recipient (hetero only)
   std::vector<std::uint32_t> covered_by_;    ///< per pool id: coverages holding it
   std::span<const HonestNode> views_;        ///< the recipients' trees (empty = unbound)
@@ -432,10 +447,14 @@ class Network {
     std::size_t used = 0;
   };
   std::vector<Egress> egress_;  ///< rolling bandwidth counters (hetero only)
-  /// Chain-complete watermark valid for EVERY recipient (bound on the max of
-  /// the per-recipient dues); keeps the uniform-broadcast fast path O(1).
-  std::unordered_map<BlockHash, std::size_t> sent_all_;
-  std::vector<BlockHash> lift_scratch_;  ///< ancestors pending ship, reused
+  /// Per pool id: the chain-complete watermark valid for EVERY recipient (a
+  /// bound on the max of the per-recipient dues), kNever where none; keeps
+  /// the uniform-broadcast fast path O(1). Sized to the pool at a record.
+  std::vector<Due> due_all_;
+  std::size_t due_all_live_ = 0;  ///< entries of due_all_ other than kNever
+  std::vector<BlockId> lift_scratch_;  ///< ancestors pending ship, reused
+  /// Hashes pending a call (publish_chain) or pooling (resolve_chain), reused.
+  std::vector<BlockHash> hash_scratch_;
   std::vector<BlockId> collect_scratch_;  ///< the Block collect_into's ids, reused
 };
 

@@ -528,6 +528,116 @@ TEST(BlockTree, TryAddByIdAdmitsPooledBlocksWithTwoMembershipTests) {
   EXPECT_EQ(view.block_count(), 4u);
 }
 
+TEST(BlockTree, AGenesisOnlyViewAnswersEveryQueryAsAMaterializedOneDid) {
+  // A view that has admitted nothing keeps no state of its own, yet must
+  // answer for genesis exactly, whatever else its pool holds.
+  BlockTree global;
+  const Block a = make_block(genesis_block().hash, 1, 0, 1);
+  ASSERT_TRUE(global.add(a));
+  const BlockHash g = genesis_block().hash;
+  const BlockTree view = global.view();
+  const BlockTree standalone;
+  for (const BlockTree* tree : {&view, &standalone}) {
+    const std::vector<std::uint32_t> ids(tree->arrival_ids().begin(), tree->arrival_ids().end());
+    EXPECT_EQ(ids, std::vector<std::uint32_t>{0});
+    EXPECT_EQ(tree->arrival_order(), std::vector<BlockHash>{g});
+    EXPECT_EQ(tree->block_count(), 1u);
+    EXPECT_EQ(tree->best_length(), 0u);
+    EXPECT_EQ(tree->best_head(TieBreak::AdversarialOrder), g);
+    EXPECT_EQ(tree->best_head(TieBreak::ConsistentHash), g);
+    EXPECT_EQ(tree->max_length_heads(), std::vector<BlockHash>{g});
+    EXPECT_TRUE(tree->holds(0));
+    EXPECT_FALSE(tree->holds(1));
+    EXPECT_FALSE(tree->holds(BlockTree::kNoId));
+    EXPECT_TRUE(tree->contains(g));
+    EXPECT_FALSE(tree->contains(a.hash));
+    EXPECT_EQ(tree->chain(g), std::vector<BlockHash>{g});
+    EXPECT_EQ(tree->length(g), 0u);
+    EXPECT_EQ(tree->block(g), genesis_block());
+    EXPECT_EQ(tree->common_ancestor(g, g), g);
+    EXPECT_EQ(tree->ancestor_at_length(g, 0), g);
+    EXPECT_FALSE(tree->block_at_slot(g, 5).has_value());
+    EXPECT_THROW(static_cast<void>(tree->chain(a.hash)), std::invalid_argument);
+  }
+  // No view stores its own genesis-only arrival list: they all read one.
+  EXPECT_EQ(view.arrival_ids().data(), standalone.arrival_ids().data());
+}
+
+TEST(BlockTree, MembershipIsExactAcrossWordBoundaries) {
+  // 200 genesis children take pool ids 1..200, so a view may admit any
+  // subset; admit the ids on either side of the first two word boundaries.
+  BlockTree global;
+  std::vector<Block> children{genesis_block()};
+  for (std::uint64_t i = 1; i <= 200; ++i) {
+    children.push_back(make_block(genesis_block().hash, i, 0, i));
+    ASSERT_TRUE(global.add(children.back()));
+    ASSERT_EQ(global.pool_id(children.back().hash), i);
+  }
+  BlockTree view = global.view();
+  const std::vector<std::uint32_t> admitted{127, 63, 128, 64, 200};
+  for (const std::uint32_t id : admitted)
+    ASSERT_EQ(view.try_add(id), BlockTree::AddResult::Added) << id;
+  for (std::uint32_t id = 0; id <= 200; ++id) {
+    const bool member =
+        id == 0 || std::find(admitted.begin(), admitted.end(), id) != admitted.end();
+    EXPECT_EQ(view.holds(id), member) << id;
+    EXPECT_EQ(view.contains(children[id].hash), member) << id;
+  }
+  EXPECT_FALSE(view.holds(201));
+  EXPECT_FALSE(view.holds(BlockTree::kNoId));
+  const std::vector<std::uint32_t> ids(view.arrival_ids().begin(), view.arrival_ids().end());
+  EXPECT_EQ(ids, (std::vector<std::uint32_t>{0, 127, 63, 128, 64, 200}));
+  // Every admitted child ties at length 1, in arrival order.
+  EXPECT_EQ(view.max_length_heads(),
+            (std::vector<BlockHash>{children[127].hash, children[63].hash, children[128].hash,
+                                    children[64].hash, children[200].hash}));
+  EXPECT_EQ(view.best_head(TieBreak::AdversarialOrder), children[127].hash);
+  // A block pooled after the view's words were sized still joins it.
+  const Block late = make_block(children[64].hash, 300, 1, 300);
+  ASSERT_EQ(view.try_add(late), BlockTree::AddResult::Added);
+  EXPECT_TRUE(view.holds(201));
+  EXPECT_FALSE(global.contains(late.hash));
+  EXPECT_EQ(view.best_head(TieBreak::ConsistentHash), late.hash);
+}
+
+TEST(BlockTree, ALateViewWhoseFirstAdmissionIsAGenesisChildPastTheFirstWordWorks) {
+  // A chain takes ids 1..69, then a genesis child takes id 70: the late
+  // view's first admission materializes its state past the first word.
+  BlockTree global;
+  std::vector<Block> chain;
+  for (std::uint64_t slot = 1; slot <= 69; ++slot) {
+    chain.push_back(make_block(chain.empty() ? genesis_block().hash : chain.back().hash, slot,
+                               0, slot));
+    ASSERT_TRUE(global.add(chain.back()));
+  }
+  const Block child = make_block(genesis_block().hash, 100, 1, 7);
+  ASSERT_TRUE(global.add(child));
+  ASSERT_EQ(global.pool_id(child.hash), 70u);
+
+  for (const bool by_id : {true, false}) {
+    BlockTree view = global.view();
+    ASSERT_EQ(by_id ? view.try_add(70u) : view.try_add(child), BlockTree::AddResult::Added);
+    EXPECT_TRUE(view.holds(0));
+    EXPECT_TRUE(view.holds(70));
+    EXPECT_FALSE(view.holds(1));
+    EXPECT_EQ(view.block_count(), 2u);
+    const std::vector<std::uint32_t> ids(view.arrival_ids().begin(), view.arrival_ids().end());
+    EXPECT_EQ(ids, (std::vector<std::uint32_t>{0, 70}));
+    EXPECT_EQ(view.best_length(), 1u);
+    EXPECT_EQ(view.best_head(TieBreak::AdversarialOrder), child.hash);
+    EXPECT_EQ(view.best_head(TieBreak::ConsistentHash), child.hash);
+    EXPECT_EQ(view.max_length_heads(), std::vector<BlockHash>{child.hash});
+    EXPECT_EQ(view.chain(child.hash), (std::vector<BlockHash>{genesis_block().hash, child.hash}));
+    // The chain's first block ties it; its second overtakes both.
+    ASSERT_EQ(view.try_add(1u), BlockTree::AddResult::Added);
+    EXPECT_EQ(view.max_length_heads(), (std::vector<BlockHash>{child.hash, chain[0].hash}));
+    EXPECT_EQ(view.best_head(TieBreak::ConsistentHash), std::min(child.hash, chain[0].hash));
+    ASSERT_EQ(view.try_add(chain[1]), BlockTree::AddResult::Added);
+    EXPECT_EQ(view.best_head(TieBreak::AdversarialOrder), chain[1].hash);
+    EXPECT_EQ(view.common_ancestor(chain[1].hash, child.hash), genesis_block().hash);
+  }
+}
+
 TEST(BlockTree, LiftPropertiesAtPowerOfTwoLengthBoundaries) {
   // The CSR lift table of an entry owns bit_width(length) levels, so its
   // width changes exactly when length crosses a power of two. Query at every

@@ -884,6 +884,61 @@ TEST(RedeliveryElision, AnUnboundNetworkShipsEveryPush) {
 }
 
 // ---------------------------------------------------------------------------
+// Lockstep watermarks
+// ---------------------------------------------------------------------------
+
+/// The payloads `recipient` collects at `slot`, in pop order.
+std::vector<std::uint64_t> lane(Network& net, PartyId recipient, std::size_t slot) {
+  std::vector<std::uint64_t> payloads;
+  for (const Block& b : drain(net, recipient, slot)) payloads.push_back(b.payload);
+  return payloads;
+}
+
+TEST(LockstepWatermarks, AScriptedSequencePinsTheLanesAndTheInvalidatedCount) {
+  // Blocks are named by payload: a <- b <- x <- c <- d, x adversarial. An
+  // empty fault plan never opens a window; it only counts the crashes.
+  faults::FaultInjector injector(faults::FaultPlan{}, 3, 32);
+  Network net(3, 1);
+  net.attach_faults(&injector);
+  BlockTree tree;
+  const Block a = make_block(genesis_block().hash, 1, 0, 1);
+  const Block b = make_block(a.hash, 2, 1, 2);
+  const Block x = make_block(b.hash, 3, kAdversary, 9);
+  const Block c = make_block(x.hash, 4, 2, 3);
+  const Block d = make_block(c.hash, 8, 0, 4);
+  for (const Block& block : {a, b, x, c, d}) ASSERT_TRUE(tree.add(block));
+  using Lane = std::vector<std::uint64_t>;
+
+  net.broadcast_chain(tree, a, 1);             // uniform: the all-recipient bound, a@2
+  net.broadcast_chain(tree, b, 2, {0, 1, 0});  // per-recipient dues 3, 4, 3; bound b@4
+  net.inject(x, 0, 3);  // b is covered for 0 by 3 only per recipient: x is recorded
+  for (PartyId r = 0; r < 3; ++r) EXPECT_EQ(lane(net, r, 2), Lane{1}) << r;
+  EXPECT_EQ(lane(net, 0, 3), (Lane{2, 9}));
+  EXPECT_EQ(lane(net, 1, 3), Lane{});
+  EXPECT_EQ(lane(net, 2, 3), Lane{2});
+  EXPECT_EQ(lane(net, 1, 4), Lane{2});
+  // Slot 5 = 3 + Delta + 1: party 0's entries for b and x expire.
+  EXPECT_EQ(lane(net, 0, 5), Lane{});
+  EXPECT_EQ(lane(net, 1, 5), Lane{});
+  // x is covered for nobody now, so every recipient is re-shipped x first.
+  net.broadcast_chain(tree, c, 5, {1, 0, 0});
+  EXPECT_EQ(lane(net, 1, 6), (Lane{9, 3}));
+  EXPECT_EQ(lane(net, 0, 7), (Lane{9, 3}));
+  EXPECT_EQ(net.pending(2), 2u);
+
+  // Party 2 still holds b@3, x@6 and c@6; the bound holds a, b, x and c.
+  net.crash_recipient(2);
+  EXPECT_EQ(injector.stats().watermarks_invalidated, 7u);
+  EXPECT_EQ(net.pending(2), 0u);
+  // The crash cleared the bound for everyone: d re-ships its whole chain.
+  net.broadcast_chain(tree, d, 8);
+  for (PartyId r = 0; r < 3; ++r) EXPECT_EQ(lane(net, r, 9), (Lane{1, 2, 9, 3, 4})) << r;
+  // Party 0's x@7 and c@7 expired at that collect; the bound holds five.
+  net.crash_recipient(0);
+  EXPECT_EQ(injector.stats().watermarks_invalidated, 12u);
+}
+
+// ---------------------------------------------------------------------------
 // The façade equivalence contract
 // ---------------------------------------------------------------------------
 
