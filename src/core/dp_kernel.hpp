@@ -20,7 +20,15 @@
 //     (fixed-horizon series: mass below is provably safe, accruing to safe())
 //     or falls (eventual-settlement phase 1, which keeps every recovery path);
 //   * never reads outside the live band, so stale cells from two steps ago in
-//     the inactive buffer are unreachable by construction.
+//     the inactive buffer are unreachable by construction;
+//   * computes, drains and reduces only the REACHABLE cells of the band: the
+//     seeded diagonal s = r plus the triangle s >= 2r - t, t the number of
+//     steps since seed(). The gap r - s grows only on an honest step taken
+//     at r = 0, so every other band cell is exactly +0, and skipping it moves
+//     no bit. Per row the region is one contiguous column range (rows r > t
+//     keep only the diagonal cell); at K = 250 the fixed-horizon series
+//     writes 1 027 469 cells where the band holds 4 651 250. The argument and
+//     the zero invariant it rests on are written out in dp_kernel.cpp.
 //
 // The scalar is a template parameter and the two instantiations have distinct
 // contracts, pinned by tests/test_dp_kernel.cpp:
@@ -83,7 +91,8 @@ class BandedDp {
 
   /// Seed the diagonal s = r from `initial` (which must cover r = 0..k_max);
   /// mass beyond r = k_max and `initial.tail` fold into the viol() sink
-  /// (exact: such states keep mu >= 0 through any horizon <= k_max).
+  /// (exact: such states keep mu >= 0 through any horizon <= k_max). A kernel
+  /// may be re-seeded; its buffers are re-zeroed only if a run wrote them.
   void seed(const ReachPmf& initial);
 
   /// One Theorem-5 transition onto the band [slo_next, min(r, shi_next)],
@@ -99,7 +108,8 @@ class BandedDp {
   /// in ascending (r, s) order starting from viol().
   [[nodiscard]] Scalar nonneg_mass() const;
 
-  /// Visit every live cell in ascending (r, s) order: f(r, s, mass).
+  /// Visit every live cell of the band in ascending (r, s) order:
+  /// f(r, s, mass). Cells outside the reachable region read exactly +0.
   template <typename F>
   void for_each_live(F&& f) const {
     for (std::ptrdiff_t r = 0; r <= rcap_; ++r) {
@@ -136,6 +146,8 @@ class BandedDp {
   std::ptrdiff_t rcap_ = 0;
   std::ptrdiff_t slo_ = 0;
   std::ptrdiff_t shi_ = 0;
+  std::ptrdiff_t t_ = 0;  ///< steps since seed(): the region's triangle edge
+  bool written_ = false;  ///< a run has written the buffers since they were zeroed
   DpAccum<Scalar> viol_;
   DpAccum<Scalar> safe_;
 };

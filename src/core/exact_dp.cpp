@@ -15,7 +15,11 @@ namespace {
 // column falls to K-t-1 (A-mass above it is violating at every remaining k),
 // the floor rises to -(K-t-1) (honest mass below it can violate at none),
 // and the reach cap falls to K-t (all larger reaches are one equivalence
-// class under clamping).
+// class under clamping). Inside that band the kernel computes only the
+// reachable cells: the seeded diagonal s = r plus the triangle s >= 2r - t,
+// because the gap r - s grows only on an honest step taken at r = 0 (see
+// dp_kernel.cpp). At K = 250 that is 1 027 469 cells over the series where
+// the band holds 4 651 250, with every result bit-identical to the full band.
 template <typename Scalar>
 SettlementSeries settlement_series_impl(const SymbolLaw& law, std::size_t k_max,
                                         const ReachPmf& initial) {
