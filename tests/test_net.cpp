@@ -970,10 +970,23 @@ TEST(FacadeEquivalence, GoldenTransportPinsStillHold) {
 // relay retries, re-deliveries after faulted drops, or re-sync ships. Draws
 // follow the transport probes (schedule, adversary seed, simulation seed); the
 // plan draws from its own stream.
+/// Every field of the run's end-of-run delivery audit, held outside the
+/// digest: the report pins below pin it on its own.
+struct ReportFields {
+  bool faulted = false;
+  bool heterogeneous = false;
+  std::size_t observed_delta = 0;
+  bool delivery_unbounded = false;
+  std::size_t pending_inflations = 0;
+  std::size_t leaderships_skipped = 0;
+  faults::FaultStats stats;
+};
+
 struct ComposedGossipOutcome {
   std::uint64_t digest = 0;
   std::size_t observed_delta = 0;
   faults::FaultStats stats;
+  ReportFields report;
 };
 
 /// One composed execution's shape; the default network is the random-k gossip
@@ -990,7 +1003,8 @@ struct GossipShape {
     cfg.latency = {LatencyKind::Geometric, 0, 3, 0.5};
     return cfg;
   }();
-  bool faults = true;  ///< attach the sampled Mixed plan
+  bool faults = true;  ///< attach the sampled plan
+  faults::FaultProfile profile = faults::FaultProfile::Mixed;
 };
 
 template <class Strategy = RandomizedAdversary>
@@ -1001,8 +1015,8 @@ ComposedGossipOutcome composed_gossip_run(const GossipShape& shape) {
   Strategy adversary(rng());
   Rng plan_rng(shape.seed ^ 0xfa017b1a5eedULL);
   faults::FaultInjector injector(
-      faults::sample_fault_plan(faults::FaultProfile::Mixed, shape.parties, shape.horizon,
-                                shape.delta, plan_rng),
+      faults::sample_fault_plan(shape.profile, shape.parties, shape.horizon, shape.delta,
+                                plan_rng),
       shape.parties, shape.horizon);
   Simulation sim(schedule, SimulationConfig{TieBreak::AdversarialOrder, rng()}, shape.delta,
                  &adversary, shape.faults ? &injector : nullptr, shape.net);
@@ -1012,6 +1026,12 @@ ComposedGossipOutcome composed_gossip_run(const GossipShape& shape) {
   // layer's.
   out.observed_delta = shape.net.heterogeneous() ? sim.net_report().observed_delta
                                                  : sim.fault_report().observed_delta;
+  const FaultReport faults = sim.fault_report();
+  const NetReport net = sim.net_report();
+  out.report = {faults.faulted,           net.heterogeneous,
+                out.observed_delta,       faults.delivery_unbounded,
+                net.pending_inflations,   faults.leaderships_skipped,
+                faults.stats};
   out.stats = injector.stats();
   std::uint64_t d = kFnvOffsetBasis;
   for (const Block& b : sim.all_blocks()) d = fnv1a_accumulate(d, b.hash);
@@ -1111,6 +1131,85 @@ TEST(FacadeEquivalence, AdversarialGossipWorkloadShapePinsHold) {
                 0x89f59643d144378fULL);
   expect_pinned({64, 1000, 2}, 175, {1272, 176, 963, 2, 2, 1, 633, 1292, 0},
                 0x7c3b9cd0979c5bbdULL);
+}
+
+// The end-of-run delivery audit, field by field, over the two transports:
+// the lockstep closed-window non-delivery test under every fault profile,
+// and the gossip pending-delivery inflation on the workload shape. Captured
+// before the fault and network reports merged into one; none may ever be
+// re-pinned.
+std::uint64_t fold_report(std::uint64_t d, const ReportFields& r) {
+  for (const std::size_t field :
+       {std::size_t{r.faulted}, std::size_t{r.heterogeneous}, r.observed_delta,
+        std::size_t{r.delivery_unbounded}, r.pending_inflations, r.leaderships_skipped,
+        r.stats.ships_dropped, r.stats.ships_duplicated, r.stats.ships_delayed,
+        r.stats.crashes, r.stats.restarts, r.stats.partitions_healed, r.stats.resync_blocks,
+        r.stats.watermarks_invalidated, r.stats.leaderships_skipped})
+    d = fnv1a_accumulate(d, field);
+  return d;
+}
+
+TEST(DeliveryReportPins, LockstepFaultProfilesPinEveryField) {
+  using faults::FaultProfile;
+  struct ProfileRow {
+    FaultProfile profile;
+    std::size_t unbounded;    ///< runs flagged delivery_unbounded
+    std::size_t delta_sum;    ///< observed Delta summed over the seeds
+    std::size_t skipped_sum;  ///< leaderships_skipped summed over the seeds
+  };
+  const ProfileRow rows[] = {{FaultProfile::PartitionHeal, 0, 36, 0},
+                             {FaultProfile::Churn, 0, 12, 17},
+                             {FaultProfile::LossyLinks, 10, 72, 0},
+                             {FaultProfile::Asynchrony, 1, 35, 0},
+                             {FaultProfile::Mixed, 4, 124, 10}};
+  std::uint64_t d = kFnvOffsetBasis;
+  std::size_t unbounded = 0;
+  for (const ProfileRow& row : rows) {
+    SCOPED_TRACE(faults::fault_profile_name(row.profile));
+    ProfileRow got{row.profile, 0, 0, 0};
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+      GossipShape shape{6, 48, seed};
+      shape.delta = 1;
+      shape.net = NetConfig::degenerate();
+      shape.profile = row.profile;
+      const ReportFields r = composed_gossip_run(shape).report;
+      EXPECT_TRUE(r.faulted);
+      EXPECT_FALSE(r.heterogeneous);
+      EXPECT_EQ(r.pending_inflations, 0u);
+      got.unbounded += r.delivery_unbounded ? 1 : 0;
+      got.delta_sum += r.observed_delta;
+      got.skipped_sum += r.leaderships_skipped;
+      d = fold_report(d, r);
+    }
+    EXPECT_EQ(got.unbounded, row.unbounded);
+    EXPECT_EQ(got.delta_sum, row.delta_sum);
+    EXPECT_EQ(got.skipped_sum, row.skipped_sum);
+    unbounded += got.unbounded;
+  }
+  EXPECT_EQ(unbounded, 15u);
+  EXPECT_EQ(d, 0x0d80d540fc0def7cULL) << std::hex << "0x" << d;
+}
+
+TEST(DeliveryReportPins, MixedGossipWorkloadShapePinsEveryField) {
+  struct SeedRow {
+    std::uint64_t seed;
+    std::size_t observed_delta;
+    std::size_t pending_inflations;
+  };
+  const SeedRow rows[] = {{1, 938, 479}, {2, 175, 232}, {3, 419, 334},
+                          {4, 176, 150}, {5, 509, 292}, {6, 375, 316}};
+  std::uint64_t d = kFnvOffsetBasis;
+  for (const SeedRow& row : rows) {
+    SCOPED_TRACE("seed " + std::to_string(row.seed));
+    const ReportFields r = composed_gossip_run({64, 1000, row.seed}).report;
+    EXPECT_TRUE(r.faulted);
+    EXPECT_TRUE(r.heterogeneous);
+    EXPECT_FALSE(r.delivery_unbounded);
+    EXPECT_EQ(r.observed_delta, row.observed_delta);
+    EXPECT_EQ(r.pending_inflations, row.pending_inflations);
+    d = fold_report(d, r);
+  }
+  EXPECT_EQ(d, 0xf4893ad24165a253ULL) << std::hex << "0x" << d;
 }
 
 // The differential net for publish_chain: RandomizedAdversary as it was
