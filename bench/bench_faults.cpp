@@ -52,6 +52,7 @@ struct E16Outcome {
   std::size_t recovery_failures = 0;
   std::size_t resync_blocks = 0;
   std::size_t faults_injected = 0;
+  std::size_t vacuous_grades = 0;  // graded at an observed Delta >= horizon / 4
   bool overhead_ran = false;
   bool digests_match = true;
   double overhead_ratio = 0.0;
@@ -86,11 +87,15 @@ bool chaos_band_report() {
                    std::to_string(cell.max_observed_delta), std::to_string(cell.resync_blocks),
                    std::to_string(cell.faults_injected)});
   std::printf("%s\n", table.render().c_str());
+  std::size_t vacuous = 0;
+  for (const auto& cell : result.cells) vacuous += cell.vacuous_grades;
   std::printf(
       "totals: %zu runs, %zu degraded, %zu recovery failures, %zu re-synced blocks, "
-      "all clean = %s  (%.0f ms)\n\n",
+      "all clean = %s  (%.0f ms)\n"
+      "vacuous grades: %zu runs graded at an observed Delta >= horizon / 4 = %zu\n\n",
       result.total_runs(), result.total_degraded(), result.total_recovery_failures(),
-      result.total_resync_blocks(), result.all_clean() ? "yes" : "NO", ms);
+      result.total_resync_blocks(), result.all_clean() ? "yes" : "NO", ms, vacuous,
+      config.horizon / 4);
 
   // The minimal reproducer: (matrix seed, cell index, run index, plan)
   // pins the exact execution — rebuild the cell's RunConfig from its echoed
@@ -119,6 +124,7 @@ bool chaos_band_report() {
   g_outcome.recovery_failures = result.total_recovery_failures();
   g_outcome.resync_blocks = result.total_resync_blocks();
   for (const auto& cell : result.cells) g_outcome.faults_injected += cell.faults_injected;
+  g_outcome.vacuous_grades = vacuous;
   return result.all_clean();
 }
 
@@ -246,6 +252,7 @@ int main(int argc, char** argv) {
                 static_cast<std::uint64_t>(g_outcome.recovery_failures));
     results.set("resync_blocks", static_cast<std::uint64_t>(g_outcome.resync_blocks));
     results.set("faults_injected", static_cast<std::uint64_t>(g_outcome.faults_injected));
+    results.set("vacuous_grades", static_cast<std::uint64_t>(g_outcome.vacuous_grades));
     results.set("overhead_ran", g_outcome.overhead_ran);
     results.set("overhead_digests_match", g_outcome.digests_match);
     results.set("overhead_ratio", g_outcome.overhead_ratio);

@@ -139,13 +139,14 @@ const BandCell kBandCells[] = {
 };
 constexpr std::size_t kBandCellCount = sizeof(kBandCells) / sizeof(kBandCells[0]);
 constexpr std::uint64_t kBandSeed = 1808;
+constexpr std::size_t kBandHorizon = 96;
 
 mh::oracle::RunConfig band_run_config(const BandCell& cell) {
   mh::oracle::RunConfig rc;
   rc.law = mh::theorem7_law(1.0, 0.25, 0.45);
   rc.strategy = cell.strategy;
   rc.delta = 1;
-  rc.horizon = 96;
+  rc.horizon = kBandHorizon;
   rc.target_slot = 4;
   rc.k = 8;
   rc.honest_parties = 8;
@@ -163,6 +164,7 @@ struct BandOutcome {
   std::size_t degraded = 0;     // 'd' — re-projected at the observed Delta
   std::size_t breaches = 0;     // '!' + 'u' — the gate
   std::size_t max_observed_delta = 0;
+  std::size_t vacuous = 0;      // graded at an observed Delta >= horizon / 4
 };
 BandOutcome g_band;
 bool g_facade_ok = false;
@@ -236,6 +238,7 @@ bool hetero_band_report() {
   g_band.runs = kBandCellCount * runs_per_cell;
   std::string codes(g_band.runs, '?');
   std::vector<std::size_t> observed(g_band.runs, 0);
+  std::vector<char> vacuous(g_band.runs, 0);
   const mh::engine::SeedSequence streams(kBandSeed);
   // One counter-based stream per (cell, run): the band is bit-identical
   // across MH_THREADS values, exactly like the scenario matrix.
@@ -245,7 +248,9 @@ bool hetero_band_report() {
     const mh::oracle::RunVerdict v = mh::oracle::check_execution(rc, rng);
     codes[i] = v.code();
     observed[i] = v.observed_delta;
+    vacuous[i] = v.recovery_checked && v.observed_delta >= kBandHorizon / 4;
   });
+  g_band.vacuous = static_cast<std::size_t>(std::count(vacuous.begin(), vacuous.end(), 1));
 
   mh::TextTable table({"cell", "strategy", "codes", "maxObsD"});
   bool clean = true;
@@ -270,9 +275,11 @@ bool hetero_band_report() {
                    cell_codes, std::to_string(max_obs)});
   }
   std::printf("%s\n", table.render().c_str());
-  std::printf("totals: %zu runs, %zu violations, %zu degraded, %zu breaches -> %s\n\n",
+  std::printf("totals: %zu runs, %zu violations, %zu degraded, %zu breaches -> %s\n",
               g_band.runs, g_band.violations, g_band.degraded, g_band.breaches,
               clean ? "clean" : "DIRTY");
+  std::printf("vacuous grades: %zu runs graded at an observed Delta >= horizon / 4 = %zu\n\n",
+              g_band.vacuous, kBandHorizon / 4);
   g_band.clean = clean;
   return clean;
 }
@@ -357,6 +364,7 @@ int main(int argc, char** argv) {
     results.set("band_breaches", static_cast<std::uint64_t>(g_band.breaches));
     results.set("band_max_observed_delta",
                 static_cast<std::uint64_t>(g_band.max_observed_delta));
+    results.set("band_vacuous_grades", static_cast<std::uint64_t>(g_band.vacuous));
     return results;
   };
   return mh::bench::run_main(argc, argv, "net", [] {

@@ -156,30 +156,27 @@ RunVerdict check_execution(const RunConfig& config, Rng& rng) {
   }
 
   // --- audit: realized synchrony decides the projection's Delta ------------
-  std::optional<LeaderSchedule> effective;
-  if (injector) {
-    const FaultReport report = sim.fault_report();
-    verdict.faulted = true;
-    verdict.observed_delta = static_cast<std::uint32_t>(report.observed_delta);
-    verdict.delta_unbounded = report.delivery_unbounded;
-    verdict.resync_blocks = static_cast<std::uint32_t>(report.stats.resync_blocks);
-    verdict.faults_injected = static_cast<std::uint32_t>(report.stats.injected());
+  // One delivery audit: the lockstep fault layer's closed-window test, or
+  // the gossip pending-delivery inflation that keeps a strongly connected
+  // run's observed Delta finite.
+  const DeliveryReport report = sim.delivery_report();
+  verdict.faulted = report.faulted;
+  verdict.heterogeneous = report.heterogeneous;
+  verdict.observed_delta = static_cast<std::uint32_t>(report.observed_delta);
+  verdict.delta_unbounded = report.delivery_unbounded;
+  verdict.resync_blocks = static_cast<std::uint32_t>(report.stats.resync_blocks);
+  verdict.faults_injected = static_cast<std::uint32_t>(report.stats.injected());
+  if (report.faulted) {
     MH_OBS_COUNT("oracle.faulted_runs", 1);
     MH_OBS_COUNT("protocol.faults.injected", report.stats.injected());
-    // Down leaders forged nothing: the realized block set matches the
-    // schedule with those leaderships removed, and the projection must
-    // relabel against THAT characteristic string (else F1 fails on honest
-    // indices with no vertex).
-    if (report.leaderships_skipped != 0) effective = injector->effective_schedule(*schedule);
   }
-  if (config.net.heterogeneous()) {
-    // The NetReport's observed Delta already folds in the fault layer's
-    // adoption delays (they share one counter), and its pending-delivery
-    // inflation keeps it finite on the strongly connected topology set.
-    verdict.heterogeneous = true;
-    verdict.observed_delta = static_cast<std::uint32_t>(sim.net_report().observed_delta);
-    MH_OBS_COUNT("oracle.hetero_runs", 1);
-  }
+  if (report.heterogeneous) MH_OBS_COUNT("oracle.hetero_runs", 1);
+  // Down leaders forged nothing: the realized block set matches the schedule
+  // with those leaderships removed, and the projection must relabel against
+  // THAT characteristic string (else F1 fails on honest indices with no
+  // vertex).
+  std::optional<LeaderSchedule> effective;
+  if (report.leaderships_skipped != 0) effective = injector->effective_schedule(*schedule);
   std::size_t project_delta = config.delta;
   verdict.degraded = verdict.delta_unbounded || verdict.observed_delta > config.delta;
   if (verdict.degraded) {

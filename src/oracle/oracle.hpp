@@ -35,11 +35,10 @@
 // The audit. A run with a FaultPlan or a non-degenerate NetConfig is
 // projected at its OBSERVED Delta against the EFFECTIVE schedule (down
 // leaders forge nothing, so their leaderships leave the characteristic
-// string). Faults alone take the observed Delta from the FaultReport: the max
-// realized honest first-delivery delay outside crash shadows. A
-// heterogeneous net takes it from the NetReport, which folds in the fault
-// layer's delays and inflates it for honest blocks still undelivered at the
-// end, so the projection window stays open. Then:
+// string). The observed Delta comes from the Simulation's one
+// DeliveryReport: the max realized honest adoption delay outside crash
+// shadows, which on a heterogeneous net is inflated for honest blocks still
+// undelivered at the end, so the projection window stays open. Then:
 //
 //   * observed Delta <= configured Delta: the run is a legitimate
 //     Delta-execution and every invariant above must hold unchanged;

@@ -74,6 +74,9 @@ CellVerdict run_cell(const MatrixConfig& config, const NamedLaw& named, std::siz
     if (!v.delta_unbounded)
       out.max_observed_delta = std::max(out.max_observed_delta,
                                         static_cast<std::size_t>(v.observed_delta));
+    // A projection at so wide a Delta checks almost nothing: counted, not
+    // gated.
+    if (v.recovery_checked && v.observed_delta >= rc.horizon / 4) ++out.vacuous_grades;
     out.resync_blocks += v.resync_blocks;
     out.faults_injected += v.faults_injected;
     if (faulted_cell && run_dirty && out.first_failure_run == SIZE_MAX) {

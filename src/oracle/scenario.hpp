@@ -89,6 +89,7 @@ struct CellVerdict {
   std::size_t degraded_unchecked = 0;  ///< unbounded observed Delta: flag only
   std::size_t recovery_failures = 0;   ///< observed-Delta projection failed
   std::size_t max_observed_delta = 0;  ///< max finite observed Delta over runs
+  std::size_t vacuous_grades = 0;      ///< runs graded at an observed Delta >= horizon / 4
   std::size_t resync_blocks = 0;       ///< total re-sync re-ships over runs
   std::size_t faults_injected = 0;     ///< total perturbations over runs
   std::size_t first_failure_run = SIZE_MAX;  ///< run index of the reproducer below

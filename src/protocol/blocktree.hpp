@@ -238,10 +238,9 @@ class BlockTree {
   BlockHash min_hash_head_ = 0;  ///< min hash among the heads
 };
 
-/// The parent-unknown buffer shared by honest nodes and the simulation's
-/// public view: deduplicated (re-delivery cannot grow it), retried against a
-/// tree until no progress, and permanently invalid blocks are dropped instead
-/// of retried forever.
+/// An honest node's parent-unknown buffer: deduplicated (re-delivery cannot
+/// grow it), retried against a tree until no progress, and permanently
+/// invalid blocks are dropped instead of retried forever.
 class OrphanBuffer {
  public:
   /// Buffers the block unless an identical hash is already waiting.

@@ -340,80 +340,17 @@ void Network::hetero_relay(PartyId relayer, BlockId id, std::size_t slot, bool f
   MH_OBS_COUNT("protocol.net.blocks_relayed", relayed);
 }
 
-// --- broadcast entry points ------------------------------------------------
+// --- the honest broadcast --------------------------------------------------
 
-void Network::require_broadcast(const Block& block, std::size_t sent_slot,
-                                const std::vector<std::size_t>& delays) const {
-  MH_REQUIRE_MSG(delays.empty() || delays.size() == parties_,
-                 "delay vector covers " + std::to_string(delays.size()) +
+void Network::broadcast_chain(const BlockTree& tree, const Block& block, std::size_t sent_slot,
+                              const std::vector<std::size_t>& per_recipient_delay) {
+  MH_REQUIRE_MSG(per_recipient_delay.empty() || per_recipient_delay.size() == parties_,
+                 "delay vector covers " + std::to_string(per_recipient_delay.size()) +
                      " parties, network has " + std::to_string(parties_));
   MH_REQUIRE_MSG(block.slot <= sent_slot,
                  "non-monotone broadcast: party " + std::to_string(block.issuer) +
                      "'s slot-" + std::to_string(block.slot) +
                      " block cannot be sent at slot " + std::to_string(sent_slot));
-}
-
-void Network::broadcast(const Block& block, std::size_t sent_slot,
-                        const std::vector<std::size_t>& per_recipient_delay) {
-  require_broadcast(block, sent_slot, per_recipient_delay);
-  const BlockId id = resolve(block);
-  if (hetero_) {
-    MH_OBS_COUNT("protocol.net.blocks_shipped", 1);
-    const bool faulted = fault_window(sent_slot);
-    if (block.issuer >= parties_) {
-      // Adversarial source: direct channels to everyone (topology, latency,
-      // and bandwidth never bind the coalition); only the configured
-      // hold-back and a down endpoint apply.
-      for (PartyId r = 0; r < parties_; ++r) {
-        const std::size_t delay = checked_delay(per_recipient_delay, r, sent_slot);
-        if (faulted && faults_->is_down(r, sent_slot)) continue;
-        push(r, id, sent_slot + 1 + delay);
-        cover(r, id);
-      }
-      return;
-    }
-    cover(block.issuer, id);
-    topology_.for_each_neighbor(block.issuer, [&](PartyId r) {
-      const std::size_t delay = checked_delay(per_recipient_delay, r, sent_slot);
-      faults::LinkVerdict link{};
-      if (faulted && !faulted_link(block.issuer, r, sent_slot, &link)) return;
-      hetero_send(block.issuer, r, id, sent_slot, delay, faulted ? link.extra_delay : 0,
-                  faulted && link.duplicate);
-    });
-    return;
-  }
-  MH_OBS_COUNT("protocol.net.blocks_shipped", parties_);
-  const bool faulted = fault_window(sent_slot);
-  const BlockId key = pooled(id);
-  const BlockId parent = store_->pool_id(block.parent);
-  if (per_recipient_delay.empty() && !faulted) {
-    const std::size_t due = sent_slot + 1;
-    for (PartyId r = 0; r < parties_; ++r) push(r, id, due);
-    // The block carries no ancestry here; it is chain-complete for all
-    // recipients only if its parent already is by the same due.
-    if (covered_all(parent, due)) record_all(key, due);
-    return;
-  }
-  std::size_t due_max = sent_slot + 1;
-  for (PartyId r = 0; r < parties_; ++r) {
-    const std::size_t delay = checked_delay(per_recipient_delay, r, sent_slot);
-    std::size_t due = sent_slot + 1 + delay;
-    faults::LinkVerdict link;
-    if (faulted) {
-      if (!faulted_link(block.issuer, r, sent_slot, &link)) continue;
-      due += link.extra_delay;
-    }
-    due_max = std::max(due_max, due);
-    push(r, id, due);
-    if (faulted && link.duplicate) push(r, id, due);
-    if (covered(r, parent, due)) record_recipient(r, key, due);
-  }
-  if (!faulted && covered_all(parent, due_max)) record_all(key, due_max);
-}
-
-void Network::broadcast_chain(const BlockTree& tree, const Block& block, std::size_t sent_slot,
-                              const std::vector<std::size_t>& per_recipient_delay) {
-  require_broadcast(block, sent_slot, per_recipient_delay);
   const BlockId id = resolve_chain(tree, block);
   if (hetero_) {
     hetero_broadcast_chain(block, id, sent_slot, per_recipient_delay);

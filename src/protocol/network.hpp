@@ -39,7 +39,7 @@
 //     per-recipient coverage bitsets deduplicate). The synchrony bound is no
 //     longer configured — it is RECOVERED as the observed maximum adoption
 //     delay, which is the Delta the oracle grades the run at (see
-//     Simulation::net_report).
+//     Simulation::delivery_report).
 //
 // Chain-sync: honest participants broadcast *chains* (the model's messages
 // are blockchains). The degenerate path ships, per recipient, only the
@@ -177,14 +177,9 @@ class Network {
     return events_.pending(recipient);
   }
 
-  /// Honest broadcast at slot `sent_slot`; `delay[r]` in [0, delta] is the
-  /// adversary's extra hold-back for recipient r (empty = no extra delay).
-  /// Ships the block alone (no ancestry). Heterogeneous mode ships to the
-  /// issuer's out-neighbors (an adversarial issuer keeps direct channels).
-  void broadcast(const Block& block, std::size_t sent_slot,
-                 const std::vector<std::size_t>& per_recipient_delay = {});
-
-  /// Chain-synced broadcast of a freshly forged block: ships `block` plus,
+  /// Honest broadcast at slot `sent_slot` of a freshly forged block;
+  /// `delay[r]` in [0, delta] is the adversary's extra hold-back for
+  /// recipient r (empty = no extra delay). Chain-synced: ships `block` plus,
   /// per reachable recipient, exactly the ancestors that recipient has not
   /// already been scheduled to receive — ancestors first on every link, so a
   /// single-hop bundle never arrives parentless (multi-hop races can still
@@ -298,10 +293,6 @@ class Network {
     BlockId pooled;  ///< the pool id of its hash
   };
 
-  /// A broadcast's preconditions: the delay vector covers every party (or is
-  /// empty) and the block is not sent before its own slot.
-  void require_broadcast(const Block& block, std::size_t sent_slot,
-                         const std::vector<std::size_t>& delays) const;
   /// The adversary's hold-back for recipient r (0 for an empty vector),
   /// checked against Delta.
   [[nodiscard]] std::size_t checked_delay(const std::vector<std::size_t>& delays, PartyId r,

@@ -58,20 +58,18 @@ void Simulation::run_until(std::size_t slot) {
 }
 
 void Simulation::public_add(std::uint32_t id) {
-  switch (public_tree_.try_add(id)) {
-    case BlockTree::AddResult::Added:
-      public_orphans_.flush(public_tree_, nullptr);
-      break;
-    case BlockTree::AddResult::Orphan:
-      // Unreachable while mirroring is synchronous and per-node acceptance is
-      // parent-first, but the public tree must never silently lose a block
-      // again: buffer and retry on progress instead of dropping.
-      public_orphans_.buffer(all_blocks()[id]);
-      break;
-    case BlockTree::AddResult::Duplicate:
-    case BlockTree::AddResult::Invalid:
-      break;
-  }
+  // Every node view is a subset of the public view. A node admits a block
+  // only once it holds the block's parent, and each admission is mirrored
+  // here at once, so the parent is already public: the block cannot be an
+  // Orphan. Nor Invalid: the node's view ran the same validity checks on the
+  // same pooled block and admitted it. Only Added or Duplicate (another node
+  // admitted it first) remain.
+  const BlockTree::AddResult result = public_tree_.try_add(id);
+  MH_REQUIRE_MSG(result == BlockTree::AddResult::Added ||
+                     result == BlockTree::AddResult::Duplicate,
+                 "the public view refused party " + std::to_string(all_blocks()[id].issuer) +
+                     "'s slot-" + std::to_string(all_blocks()[id].slot) +
+                     " block that a node admitted");
 }
 
 void Simulation::deliver_due(std::size_t slot) {
@@ -245,72 +243,39 @@ void Simulation::resync_node(PartyId party, std::size_t slot) {
   }
 }
 
-FaultReport Simulation::fault_report() const {
-  FaultReport report;
-  if (!faults_) return report;
-  report.faulted = true;
+DeliveryReport Simulation::delivery_report() const {
+  DeliveryReport report;
+  report.faulted = faults_ != nullptr;
+  report.heterogeneous = hetero_;
   report.observed_delta = observed_delta_;
   report.leaderships_skipped = leaderships_skipped_;
-  report.stats = faults_->stats();
-  // Non-delivery sweep: an honest block whose delivery window closed within
-  // the run must have reached every node it could reach — one that never
-  // crossed an unhealed partition (or fell to a link drop on a branch no one
-  // extended) makes the realized delay infinite, not merely large. Blocks
-  // delivered before a later crash persist in the tree, so only windows
-  // intersecting down-time are excused.
+  if (faults_) report.stats = faults_->stats();
+  if (!faults_ && !hetero_) return report;
   const std::size_t last_onset = next_slot_;  // deliveries are flushed up to here
-  // Heterogeneous shapes are strongly connected: non-delivery there is
-  // lateness (net_report() inflates the observed Delta for it), never an
-  // unbounded partition, and the configured-Delta window test below would
-  // misfire on legitimate multi-hop delays.
-  if (hetero_) return report;
   const std::span<const Block> blocks = all_blocks();
   for (std::uint32_t id = 1; id < blocks.size(); ++id) {  // genesis excluded
     const Block& b = blocks[id];
     if (b.issuer == kAdversary) continue;
-    if (b.slot + 1 + network_.delta() > last_onset) continue;  // window still open
+    // Lockstep claims only closed windows; gossip has no configured window —
+    // multi-hop delays are legitimate lateness.
+    if (!hetero_ && b.slot + 1 + network_.delta() > last_onset) continue;
     for (const HonestNode& node : nodes_) {
-      if (node.id() == b.issuer) continue;
-      if (faults_->is_down(node.id(), last_onset)) continue;  // down at end: no claim
-      if (faults_->down_in_window(node.id(), b.slot + 1, last_onset)) continue;
-      // Adoptability, not arrival: a block parked forever in the orphan
-      // buffer (ancestry lost to a drop) was "delivered" but extends nothing.
-      if (!node.tree().holds(id)) {
+      // Adoptability, not arrival: a block parked in the orphan buffer was
+      // "delivered" but extends nothing.
+      if (node.id() == b.issuer || node.tree().holds(id)) continue;
+      if (faults_ && faults_->is_down(node.id(), last_onset)) continue;  // down at end: no claim
+      if (hetero_) {
+        const std::size_t down =
+            faults_ ? faults_->down_slots_in(node.id(), b.slot + 1, last_onset) : 0;
+        if (last_onset <= b.slot + down) continue;  // window effectively unopened
+        ++report.pending_inflations;
+        report.observed_delta = std::max(report.observed_delta, last_onset - b.slot - down);
+      } else if (!faults_->down_in_window(node.id(), b.slot + 1, last_onset)) {
+        // Blocks delivered before a later crash persist in the tree, so only
+        // windows intersecting down-time are excused.
         report.delivery_unbounded = true;
         return report;
       }
-    }
-  }
-  return report;
-}
-
-NetReport Simulation::net_report() const {
-  NetReport report;
-  report.heterogeneous = hetero_;
-  report.observed_delta = observed_delta_;
-  if (!hetero_) return report;
-  // Pending-delivery inflation: a block some up node has not adopted by the
-  // flushed last onset would, if adopted at the very next opportunity,
-  // realize a delay of at least `last_onset - forge slot` (minus the slots
-  // the node spent crashed). Raising the observed Delta to that floor keeps
-  // the delivery window open under the observed-Delta projection, so the
-  // grade is sound without ever being unbounded — gossip on a strongly
-  // connected topology delivers eventually; the run merely ended first.
-  const std::size_t last_onset = next_slot_;
-  const std::span<const Block> blocks = all_blocks();
-  for (std::uint32_t id = 1; id < blocks.size(); ++id) {  // genesis excluded
-    const Block& b = blocks[id];
-    if (b.issuer == kAdversary) continue;
-    for (const HonestNode& node : nodes_) {
-      if (node.id() == b.issuer) continue;
-      if (fault_active_ && faults_->is_down(node.id(), last_onset)) continue;
-      if (node.tree().holds(id)) continue;
-      const std::size_t down =
-          fault_active_ ? faults_->down_slots_in(node.id(), b.slot + 1, last_onset) : 0;
-      if (last_onset <= b.slot + down) continue;  // window effectively unopened
-      ++report.pending_inflations;
-      const std::size_t floor_delay = last_onset - b.slot - down;
-      report.observed_delta = std::max(report.observed_delta, floor_delay);
     }
   }
   return report;

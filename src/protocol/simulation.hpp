@@ -55,40 +55,42 @@ struct SimulationConfig {
   std::uint64_t seed = 42;
 };
 
-/// What the fault layer observed over one faulted execution: the realized
-/// synchrony bound plus the recovery accounting. `observed_delta` is the max
-/// delay until a node could first ADOPT an honest block (chain-complete
-/// acceptance — raw arrival undercounts: a partially-leaked block sits in the
-/// orphan buffer extending nothing, and the observed-Delta fork projection
-/// would then claim a synchrony the execution never had). Slots the recipient
-/// spent crashed are discounted from the delay — a down endpoint cannot
-/// receive and the restart re-sync delivers promptly — but only those slots:
-/// a crash late in the window must not excuse the up slots during which the
-/// network simply failed to deliver. `delivery_unbounded` flags
-/// an honest block some up node could never adopt at all (an unhealed
-/// partition or a link drop on a dead branch): observed Delta is infinite.
-struct FaultReport {
-  bool faulted = false;
+/// What one execution realized as its synchrony bound, audited once after
+/// the run: the A4_Delta bound the oracle grades it at. `observed_delta` is
+/// the max delay until a node could first ADOPT an honest block
+/// (chain-complete acceptance — raw arrival undercounts: a partially-leaked
+/// block sits in the orphan buffer extending nothing, and the observed-Delta
+/// fork projection would then claim a synchrony the execution never had).
+/// Slots the recipient spent crashed are discounted from the delay — a down
+/// endpoint cannot receive and the restart re-sync delivers promptly — but
+/// only those slots: a crash late in the window must not excuse the up slots
+/// during which the network simply failed to deliver.
+///
+/// The end-of-run sweep then visits every honest block some up node other
+/// than its issuer still lacks, and reads it by transport:
+///   * heterogeneous (gossip): the block is late, not lost — every shape is
+///     strongly connected. Adopted at the next opportunity it would realize
+///     a delay of at least `last onset - forge slot - down slots`, so that
+///     floor inflates `observed_delta` (`pending_inflations` counts the
+///     pairs). The projection window stays open, and the oracle never grades
+///     a gossip run at a synchrony it has already beaten: 'd' at worst,
+///     never 'u'.
+///   * lockstep with a fault injector: a block whose Delta window closed
+///     within the run, missing at a node that was up throughout it, crossed
+///     an unhealed partition or fell to a link drop on a dead branch.
+///     `delivery_unbounded` flags it: observed Delta is infinite.
+struct DeliveryReport {
+  bool faulted = false;        ///< a fault injector was attached
+  bool heterogeneous = false;  ///< a non-degenerate NetConfig was attached
   std::size_t observed_delta = 0;
   bool delivery_unbounded = false;
+  std::size_t pending_inflations = 0;  ///< (block, node) pairs still unadopted
   std::size_t leaderships_skipped = 0;
   faults::FaultStats stats;
 };
 
-/// What a heterogeneous (non-degenerate NetConfig) execution realized as its
-/// synchrony bound. `observed_delta` starts from the same chain-complete
-/// adoption maximum the fault layer counts; honest blocks some up node has
-/// STILL not adopted when the run ends inflate it to `last onset - forge
-/// slot - down slots` — the smallest delay a future adoption could realize —
-/// so the projection window stays open and the oracle never grades a gossip
-/// run at a synchrony it has already beaten. Multi-hop topologies therefore
-/// always grade ('d' at worst), never unbounded ('u'): every shape here is
-/// strongly connected, so non-delivery is lateness, not partition.
-struct NetReport {
-  bool heterogeneous = false;
-  std::size_t observed_delta = 0;
-  std::size_t pending_inflations = 0;  ///< (block, node) pairs still undelivered
-};
+/// The name frozen perfbench sources use for the report.
+using FaultReport = DeliveryReport;
 
 class Simulation {
  public:
@@ -98,7 +100,7 @@ class Simulation {
   /// deliveries and forging. `net` selects the network shape; the default is
   /// the degenerate lockstep configuration (bit-identical to the pre-event-
   /// core transport), anything else runs the gossip paths and tracks the
-  /// observed Delta for net_report().
+  /// observed Delta for delivery_report().
   Simulation(const ScheduleSource& schedule, SimulationConfig config, std::size_t delta,
              Adversary* adversary, faults::FaultInjector* faults = nullptr,
              net::NetConfig net = {});
@@ -159,14 +161,15 @@ class Simulation {
   /// Max over pairs of honest chains of l(t1) - l(common ancestor).
   [[nodiscard]] std::size_t observed_slot_divergence() const;
 
-  /// The fault layer's end-of-run audit (trivial when no injector attached):
-  /// runs the non-delivery sweep lazily, so call it after the run completes.
-  [[nodiscard]] FaultReport fault_report() const;
+  /// The end-of-run delivery audit (see DeliveryReport): one sweep, run
+  /// lazily, so call it after the run completes. Trivial for a lockstep run
+  /// without a fault injector.
+  [[nodiscard]] DeliveryReport delivery_report() const;
 
-  /// The heterogeneous network's end-of-run audit: the observed Delta with
-  /// pending-delivery inflation (see NetReport). Trivial for degenerate
-  /// configurations; call it after the run completes.
-  [[nodiscard]] NetReport net_report() const;
+  /// Forwards to delivery_report(), kept only for the frozen perfbench
+  /// sources; nothing else may call them.
+  [[nodiscard]] DeliveryReport fault_report() const { return delivery_report(); }
+  [[nodiscard]] DeliveryReport net_report() const { return delivery_report(); }
 
  private:
   void step();
@@ -178,9 +181,8 @@ class Simulation {
   /// first (the public arrival order is parents-first), due at `slot`.
   void resync_node(PartyId party, std::size_t slot);
   void check_watches(std::size_t onset_slot);
-  /// Mirror a node-accepted block, by pool id, into the public tree;
-  /// out-of-order arrivals are buffered and flushed like a node's own orphan
-  /// set.
+  /// Mirror a node-accepted block, by pool id, into the public tree. The
+  /// public tree can never refuse it (see the argument at the definition).
   void public_add(std::uint32_t id);
   /// The distinct best heads currently adopted across the honest nodes.
   [[nodiscard]] std::vector<BlockHash> distinct_best_heads() const;
@@ -210,7 +212,6 @@ class Simulation {
   std::size_t observed_delta_ = 0;     ///< max counted honest acceptance delay
   std::size_t leaderships_skipped_ = 0;
   std::vector<PartyId> fault_scratch_;  ///< crash/restart event list reuse
-  OrphanBuffer public_orphans_;
   std::vector<Watch> watches_;
   std::vector<net::BlockId> delivery_scratch_;  ///< collect_into reuse
   std::vector<std::uint32_t> accepted_scratch_;  ///< receive-accepted pool ids, reused

@@ -324,7 +324,7 @@ TEST(FaultSimulation, PartitionHealsAndViewsReconverge) {
 
   for (const HonestNode& node : sim.nodes())
     EXPECT_EQ(node.tree().block_count(), sim.public_tree().block_count());
-  const FaultReport report = sim.fault_report();
+  const DeliveryReport report = sim.delivery_report();
   EXPECT_TRUE(report.faulted);
   EXPECT_FALSE(report.delivery_unbounded);
   EXPECT_GE(report.observed_delta, 1u);
@@ -360,7 +360,7 @@ TEST(FaultSimulation, CrashRestartResyncRestoresViewWithinDeltaPlusOne) {
     expected_skips += static_cast<std::size_t>(
         std::count(honest.begin(), honest.end(), static_cast<PartyId>(2)));
   }
-  const FaultReport report = sim.fault_report();
+  const DeliveryReport report = sim.delivery_report();
   EXPECT_EQ(report.leaderships_skipped, expected_skips);
   EXPECT_EQ(report.stats.crashes, 1u);
   EXPECT_EQ(report.stats.restarts, 1u);

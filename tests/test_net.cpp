@@ -241,7 +241,7 @@ TEST(NetworkStore, AnUnresolvableBlockThrowsNamingItsSlotAndIssuer) {
     Network net(4, 0, cfg);
     expect_named([&] { net.inject(orphan, 1, 7); });
     expect_named([&] { net.inject_all(broken, 7); });
-    expect_named([&] { net.broadcast(orphan, 7); });
+    expect_named([&] { net.broadcast_chain(BlockTree{}, broken, 7); });
     expect_named([&] { net.resync_ship(broken, 0, 7); });
     net.inject_all(parent, 2);
     EXPECT_THROW(net.inject(low, 0, 2), std::invalid_argument);
@@ -549,7 +549,7 @@ TEST(HeteroNetwork, ObservedDeltaIsBoundedByTheLatencyCapOnAFullMesh) {
   Simulation sim(schedule, SimulationConfig{TieBreak::AdversarialOrder, 4242}, 3, nullptr,
                  nullptr, cfg);
   sim.run();
-  const NetReport report = sim.net_report();
+  const DeliveryReport report = sim.delivery_report();
   EXPECT_TRUE(report.heterogeneous);
   EXPECT_LE(report.observed_delta, 3u);
 }
@@ -560,7 +560,7 @@ TEST(HeteroNetwork, DegenerateReportIsTrivial) {
       LeaderSchedule::from_symbol_law(kTransportProbeLaw, 32, 4, rng);
   Simulation sim(schedule, SimulationConfig{TieBreak::AdversarialOrder, 7}, 0, nullptr);
   sim.run();
-  const NetReport report = sim.net_report();
+  const DeliveryReport report = sim.delivery_report();
   EXPECT_FALSE(report.heterogeneous);
   EXPECT_EQ(report.observed_delta, 0u);
   EXPECT_EQ(report.pending_inflations, 0u);
@@ -970,23 +970,13 @@ TEST(FacadeEquivalence, GoldenTransportPinsStillHold) {
 // relay retries, re-deliveries after faulted drops, or re-sync ships. Draws
 // follow the transport probes (schedule, adversary seed, simulation seed); the
 // plan draws from its own stream.
-/// Every field of the run's end-of-run delivery audit, held outside the
-/// digest: the report pins below pin it on its own.
-struct ReportFields {
-  bool faulted = false;
-  bool heterogeneous = false;
-  std::size_t observed_delta = 0;
-  bool delivery_unbounded = false;
-  std::size_t pending_inflations = 0;
-  std::size_t leaderships_skipped = 0;
-  faults::FaultStats stats;
-};
-
 struct ComposedGossipOutcome {
   std::uint64_t digest = 0;
   std::size_t observed_delta = 0;
   faults::FaultStats stats;
-  ReportFields report;
+  /// The run's delivery audit, held outside the digest: the report pins below
+  /// pin every field on its own.
+  DeliveryReport report;
 };
 
 /// One composed execution's shape; the default network is the random-k gossip
@@ -1022,16 +1012,8 @@ ComposedGossipOutcome composed_gossip_run(const GossipShape& shape) {
                  &adversary, shape.faults ? &injector : nullptr, shape.net);
   sim.run();
   ComposedGossipOutcome out;
-  // A lockstep run has no gossip report: its observed Delta is the fault
-  // layer's.
-  out.observed_delta = shape.net.heterogeneous() ? sim.net_report().observed_delta
-                                                 : sim.fault_report().observed_delta;
-  const FaultReport faults = sim.fault_report();
-  const NetReport net = sim.net_report();
-  out.report = {faults.faulted,           net.heterogeneous,
-                out.observed_delta,       faults.delivery_unbounded,
-                net.pending_inflations,   faults.leaderships_skipped,
-                faults.stats};
+  out.report = sim.delivery_report();
+  out.observed_delta = out.report.observed_delta;
   out.stats = injector.stats();
   std::uint64_t d = kFnvOffsetBasis;
   for (const Block& b : sim.all_blocks()) d = fnv1a_accumulate(d, b.hash);
@@ -1138,7 +1120,7 @@ TEST(FacadeEquivalence, AdversarialGossipWorkloadShapePinsHold) {
 // and the gossip pending-delivery inflation on the workload shape. Captured
 // before the fault and network reports merged into one; none may ever be
 // re-pinned.
-std::uint64_t fold_report(std::uint64_t d, const ReportFields& r) {
+std::uint64_t fold_report(std::uint64_t d, const DeliveryReport& r) {
   for (const std::size_t field :
        {std::size_t{r.faulted}, std::size_t{r.heterogeneous}, r.observed_delta,
         std::size_t{r.delivery_unbounded}, r.pending_inflations, r.leaderships_skipped,
@@ -1172,7 +1154,7 @@ TEST(DeliveryReportPins, LockstepFaultProfilesPinEveryField) {
       shape.delta = 1;
       shape.net = NetConfig::degenerate();
       shape.profile = row.profile;
-      const ReportFields r = composed_gossip_run(shape).report;
+      const DeliveryReport r = composed_gossip_run(shape).report;
       EXPECT_TRUE(r.faulted);
       EXPECT_FALSE(r.heterogeneous);
       EXPECT_EQ(r.pending_inflations, 0u);
@@ -1201,7 +1183,7 @@ TEST(DeliveryReportPins, MixedGossipWorkloadShapePinsEveryField) {
   std::uint64_t d = kFnvOffsetBasis;
   for (const SeedRow& row : rows) {
     SCOPED_TRACE("seed " + std::to_string(row.seed));
-    const ReportFields r = composed_gossip_run({64, 1000, row.seed}).report;
+    const DeliveryReport r = composed_gossip_run({64, 1000, row.seed}).report;
     EXPECT_TRUE(r.faulted);
     EXPECT_TRUE(r.heterogeneous);
     EXPECT_FALSE(r.delivery_unbounded);

@@ -15,10 +15,15 @@ std::vector<Block> drain(Network& net, PartyId recipient, std::size_t slot) {
   return due;
 }
 
+// The honest broadcast is chain-synced; a block on genesis, or on a chain
+// shipped before, ships alone.
+
 TEST(Network, SynchronousBroadcastArrivesNextSlot) {
   Network net(3, 0);
+  BlockTree tree;
   const Block b = make_block(genesis_block().hash, 1, 0, 0);
-  net.broadcast(b, 1);
+  tree.add(b);
+  net.broadcast_chain(tree, b, 1);
   EXPECT_TRUE(drain(net, 0, 1).empty());
   const auto due = drain(net, 0, 2);
   ASSERT_EQ(due.size(), 1u);
@@ -31,8 +36,10 @@ TEST(Network, SynchronousBroadcastArrivesNextSlot) {
 
 TEST(Network, CollectIntoClearsTheBufferBeforeFilling) {
   Network net(2, 0);
+  BlockTree tree;
   const Block b = make_block(genesis_block().hash, 1, 0, 0);
-  net.broadcast(b, 1);
+  tree.add(b);
+  net.broadcast_chain(tree, b, 1);
   // Stale contents must not leak into a delivery round.
   std::vector<Block> buf(7, genesis_block());
   net.collect_into(1, 2, &buf);
@@ -44,8 +51,10 @@ TEST(Network, CollectIntoClearsTheBufferBeforeFilling) {
 
 TEST(Network, DelaysBoundedByDelta) {
   Network net(2, 3);
+  BlockTree tree;
   const Block b = make_block(genesis_block().hash, 1, 0, 0);
-  net.broadcast(b, 1, {0, 3});
+  tree.add(b);
+  net.broadcast_chain(tree, b, 1, {0, 3});
   EXPECT_EQ(drain(net, 0, 2).size(), 1u);
   EXPECT_TRUE(drain(net, 1, 2).empty());
   EXPECT_TRUE(drain(net, 1, 4).empty());
@@ -57,9 +66,9 @@ TEST(Network, RejectsDelaysPastDelta) {
   BlockTree tree;
   const Block b = make_block(genesis_block().hash, 1, 0, 0);
   tree.add(b);
-  EXPECT_THROW(net.broadcast(b, 1, {0, 2}), std::invalid_argument);
-  EXPECT_THROW(net.broadcast(b, 1, {0}), std::invalid_argument);  // wrong size
+  EXPECT_THROW(net.broadcast_chain(tree, b, 1, {0, 2}), std::invalid_argument);
   EXPECT_THROW(net.broadcast_chain(tree, b, 1, {2, 0}), std::invalid_argument);
+  EXPECT_THROW(net.broadcast_chain(tree, b, 1, {0}), std::invalid_argument);  // wrong size
   EXPECT_THROW(net.broadcast_chain(tree, b, 1, {0, 0, 0}), std::invalid_argument);
 }
 
@@ -79,12 +88,11 @@ TEST(Network, RejectsNonMonotoneSlots) {
   BlockTree tree;
   const Block b = make_block(genesis_block().hash, 3, 0, 0);
   tree.add(b);
-  EXPECT_THROW(net.broadcast(b, 2), std::invalid_argument);
   EXPECT_THROW(net.broadcast_chain(tree, b, 2), std::invalid_argument);
   EXPECT_THROW(net.inject(b, 0, 2), std::invalid_argument);
   EXPECT_THROW(net.inject_all(b, 2), std::invalid_argument);
   // Sending at exactly the block's slot is the boundary and is legal.
-  net.broadcast(b, 3);
+  net.broadcast_chain(tree, b, 3);
   EXPECT_EQ(drain(net, 0, 4).size(), 1u);
 }
 
@@ -106,12 +114,17 @@ TEST(Network, InjectAllReachesEveryone) {
 
 TEST(Network, LateCollectionDeliversBacklog) {
   Network net(1, 0);
+  BlockTree tree;
   const Block b1 = make_block(genesis_block().hash, 1, 0, 0);
   const Block b2 = make_block(b1.hash, 2, 0, 0);
-  net.broadcast(b1, 1);
-  net.broadcast(b2, 2);
+  tree.add(b1);
+  tree.add(b2);
+  net.broadcast_chain(tree, b1, 1);
+  net.broadcast_chain(tree, b2, 2);  // b1 already covered: b2 ships alone
   const auto due = drain(net, 0, 5);  // collected late: both blocks due
-  EXPECT_EQ(due.size(), 2u);
+  ASSERT_EQ(due.size(), 2u);
+  EXPECT_EQ(due[0].hash, b1.hash);
+  EXPECT_EQ(due[1].hash, b2.hash);
 }
 
 TEST(Network, BucketedDeliveryOrdersBySlotThenScheduling) {
