@@ -3,7 +3,7 @@
 # Simulation::fault_report() / net_report(), names the deleted NetReport, or
 # calls the deleted Network::broadcast. The forwards' own one-line
 # definitions in simulation.hpp are the only allowed matches.
-# Usage: sh tests/forward_guard.sh <repository root>
+# Usage: sh tools/forward_guard.sh <repository root>
 cd "${1:-.}" || exit 2
 hits=$(grep -rnE 'fault_report\(|net_report\(|NetReport|\.broadcast\(' \
          --include='*.cpp' --include='*.hpp' --include='*.h' src tests bench examples |
